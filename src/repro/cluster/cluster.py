@@ -67,9 +67,9 @@ class Cluster:
 
         Drops every dead node, re-ranks the survivors contiguously
         (``born_rank`` keeps the original identity) and rebuilds the
-        communicator over them, carrying over the cumulative traffic
-        accounting and any attached fault injector.  Returns the removed
-        nodes.  Raises :class:`ClusterError` when nothing survives.
+        communicator over them (see :meth:`Communicator.over` for what
+        carries over).  Returns the removed nodes.  Raises
+        :class:`ClusterError` when nothing survives.
         """
         dead = [n for n in self.nodes if not n.alive]
         if not dead:
@@ -80,22 +80,7 @@ class Cluster:
         for i, n in enumerate(survivors):
             n.rank = i
         self.nodes = survivors
-        old = self.comm
-        # topology describes physical positions, which survivors keep
-        # (born ranks) — it is carried over unchanged, as is the tuning
-        # cache
-        self.comm = Communicator(
-            survivors,
-            self.network,
-            injector=old.injector,
-            topology=old.topology,
-            tuning=old.tuning,
-        )
-        self.comm.comm_seconds = old.comm_seconds
-        self.comm.comm_bytes = old.comm_bytes
-        self.comm.tracer = old.tracer
-        self.comm.metrics = old.metrics
-        self.comm.netflow = old.netflow
+        self.comm = self.comm.over(survivors)
         return dead
 
     def grow(self, born_ranks) -> list:
@@ -108,9 +93,8 @@ class Cluster:
         in the past), and the whole cluster is re-ranked in born-rank
         order — growing back to full width therefore restores the exact
         original rank layout, and with it the original partition widths.
-        The communicator is rebuilt over the new node set, carrying the
-        injector, topology, tuning cache, tracer, metrics and cumulative
-        traffic accounting, exactly as shrink recovery does.
+        The communicator is rebuilt over the new node set exactly as
+        shrink recovery does (:meth:`Communicator.over`).
 
         Returns the new nodes.  Raises :class:`ClusterError` on a
         position that is still occupied.
@@ -135,19 +119,7 @@ class Cluster:
         self.nodes = sorted(self.nodes + fresh, key=lambda n: n.born_rank)
         for i, n in enumerate(self.nodes):
             n.rank = i
-        old = self.comm
-        self.comm = Communicator(
-            self.nodes,
-            self.network,
-            injector=old.injector,
-            topology=old.topology,
-            tuning=old.tuning,
-        )
-        self.comm.comm_seconds = old.comm_seconds
-        self.comm.comm_bytes = old.comm_bytes
-        self.comm.tracer = old.tracer
-        self.comm.metrics = old.metrics
-        self.comm.netflow = old.netflow
+        self.comm = self.comm.over(self.nodes)
         return fresh
 
     def reset_clocks(self) -> None:

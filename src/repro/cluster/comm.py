@@ -83,6 +83,25 @@ class Communicator:
         #: cumulative payload bytes moved between nodes
         self.comm_bytes = 0
 
+    def over(self, nodes: list[Node]) -> Communicator:
+        """The same communicator over a different node set (shrink and
+        grow recovery): injector, topology (physical positions — born
+        ranks — outlive re-ranking), tuning cache, observers and the
+        cumulative traffic accounting all carry over."""
+        new = Communicator(
+            nodes,
+            self.network,
+            injector=self.injector,
+            topology=self.topology,
+            tuning=self.tuning,
+        )
+        new.comm_seconds = self.comm_seconds
+        new.comm_bytes = self.comm_bytes
+        new.tracer = self.tracer
+        new.metrics = self.metrics
+        new.netflow = self.netflow
+        return new
+
     @property
     def size(self) -> int:
         return len(self.nodes)
@@ -273,6 +292,72 @@ class Communicator:
             self._trace_collective("barrier", "", None, start, duration, 0)
         self._finish(start, duration)
 
+    def _allgather(
+        self,
+        op: str,
+        buffer: str,
+        bounds: list[tuple[int, int]],
+        byte_counts: list[int],
+        algo: str,
+        copy_s: float = 0.0,
+    ) -> float:
+        """The one Allgather engine behind the three public variants.
+
+        Rank ``r``'s block of ``buffer`` lives at element range
+        ``bounds[r]`` and weighs ``byte_counts[r]`` bytes; ``copy_s`` is
+        the variant's local copy term, added to the priced schedule.
+        Resolves the algorithm, consults the fault hook, moves the bytes,
+        prices the schedule, feeds every observer and synchronizes the
+        clocks.  Returns the modeled duration.
+        """
+        payload = sum(byte_counts)
+        algo_name = self._resolve_algo(algo, payload)
+        self.last_algorithm = algo_name
+        moves = self.size > 1 and payload > 0
+        fault = self._guard(op)
+        corrupt_src = None
+        if isinstance(fault, CorruptionFault) and moves:
+            # an in-flight copy exists only for a present rank's
+            # non-empty block
+            corrupt_src = next(
+                (
+                    i for i, n in enumerate(self.nodes)
+                    if n.born_rank == fault.rank and byte_counts[i]
+                ),
+                None,
+            )
+        start = self._sync_start()
+        total_bytes = 0
+        duration = 0.0
+        if moves:
+            rounds, positions = self._schedule(algo_name)
+            total_bytes = self._move_blocks(buffer, rounds, bounds, corrupt_src)
+            duration = coll.schedule_cost(
+                self.topology, rounds, byte_counts, positions
+            ) + copy_s
+            if self.tracer.enabled:
+                self._trace_collective(
+                    op, buffer, algo_name, start, duration, total_bytes,
+                    rounds, byte_counts, positions,
+                )
+            if self.netflow is not None:
+                self.netflow.record_collective(
+                    op, buffer, algo_name, self.topology, rounds,
+                    byte_counts, positions, start, self._pace(),
+                    total_bytes, duration,
+                )
+        self.comm_bytes += total_bytes
+        if self.metrics.enabled:
+            self.metrics.inc("comm.gathers", algo=algo_name)
+        self._finish(start, duration)
+        if corrupt_src is not None:
+            # receiver-side checksum flags the payload after the transfer
+            raise DataCorruptionError(
+                f"{op} of {buffer!r}: checksum mismatch on rank "
+                f"{fault.rank}'s contribution (injected corruption)"
+            )
+        return duration
+
     def allgather_in_place(
         self, buffer: str, base: int, per_rank: int, algo: str = "auto"
     ) -> float:
@@ -300,54 +385,10 @@ class Communicator:
                     f"{buffer!r} (len {length})"
                 )
             bounds.append((lo, hi))
-        itemsize = self.nodes[0].buffer(buffer).itemsize
-        block_bytes = itemsize * per_rank
-        algo_name = self._resolve_algo(algo, block_bytes * self.size)
-        self.last_algorithm = algo_name
-        fault = self._guard("allgather")
-        corrupt_rank = fault.rank if isinstance(fault, CorruptionFault) else None
-        if corrupt_rank is not None and (
-            self.size <= 1
-            or not any(n.born_rank == corrupt_rank for n in self.nodes)
-        ):
-            corrupt_rank = None  # no in-flight copy exists to corrupt
-        corrupt_src = None
-        if corrupt_rank is not None:
-            corrupt_src = next(
-                i for i, n in enumerate(self.nodes)
-                if n.born_rank == corrupt_rank
-            )
-        start = self._sync_start()
-        total_bytes = 0
-        duration = 0.0
-        if self.size > 1:
-            rounds, positions = self._schedule(algo_name)
-            total_bytes = self._move_blocks(buffer, rounds, bounds, corrupt_src)
-            duration = coll.schedule_cost(
-                self.topology, rounds, [block_bytes] * self.size, positions
-            )
-            if self.tracer.enabled:
-                self._trace_collective(
-                    "allgather", buffer, algo_name, start, duration,
-                    total_bytes, rounds, [block_bytes] * self.size, positions,
-                )
-            if self.netflow is not None:
-                self.netflow.record_collective(
-                    "allgather", buffer, algo_name, self.topology, rounds,
-                    [block_bytes] * self.size, positions, start,
-                    self._pace(), total_bytes, duration,
-                )
-        self.comm_bytes += total_bytes
-        if self.metrics.enabled:
-            self.metrics.inc("comm.gathers", algo=algo_name)
-        self._finish(start, duration)
-        if corrupt_rank is not None:
-            # receiver-side checksum flags the payload after the transfer
-            raise DataCorruptionError(
-                f"allgather of {buffer!r}: checksum mismatch on rank "
-                f"{corrupt_rank}'s contribution (injected corruption)"
-            )
-        return duration
+        block_bytes = self.nodes[0].buffer(buffer).itemsize * per_rank
+        return self._allgather(
+            "allgather", buffer, bounds, [block_bytes] * self.size, algo
+        )
 
     def allgather_out_of_place(
         self,
@@ -362,57 +403,30 @@ class Communicator:
         variant — used by the Allgather micro-benchmark)."""
         if per_rank < 0:
             raise ClusterError(f"negative per-rank extent {per_rank}")
-        itemsize = self.nodes[0].buffer(src_buffer).itemsize
-        block_bytes = itemsize * per_rank
-        algo_name = self._resolve_algo(algo, block_bytes * self.size)
-        self.last_algorithm = algo_name
-        self._guard("allgather-oop")
-        start = self._sync_start()
-        total_bytes = 0
-        duration = 0.0
-        if per_rank > 0:
-            bounds: list[tuple[int, int]] = []
-            for r, node in enumerate(self.nodes):
-                lo = r * per_rank
-                hi = lo + per_rank
-                src = node.buffer(src_buffer)
-                dst = node.buffer(dst_buffer)
-                if per_rank > src.shape[0] or hi > dst.shape[0]:
-                    raise ClusterError(
-                        f"allgather-oop slice [{lo}:{hi}) out of range for "
-                        f"{dst_buffer!r} (src len {src.shape[0]}, dst len "
-                        f"{dst.shape[0]})"
-                    )
-                # local phase: every rank's own slice moves into place
-                dst[lo:hi] = src[:per_rank]
-                bounds.append((lo, hi))
-            if self.size > 1:
-                rounds, positions = self._schedule(algo_name)
-                total_bytes = self._move_blocks(dst_buffer, rounds, bounds, None)
-                duration = coll.schedule_cost(
-                    self.topology, rounds, [block_bytes] * self.size, positions
+        bounds: list[tuple[int, int]] = []
+        for r, node in enumerate(self.nodes):
+            lo = r * per_rank
+            hi = lo + per_rank
+            bounds.append((lo, hi))
+            if per_rank == 0:
+                continue
+            src = node.buffer(src_buffer)
+            dst = node.buffer(dst_buffer)
+            if per_rank > src.shape[0] or hi > dst.shape[0]:
+                raise ClusterError(
+                    f"allgather-oop slice [{lo}:{hi}) out of range for "
+                    f"{dst_buffer!r} (src len {src.shape[0]}, dst len "
+                    f"{dst.shape[0]})"
                 )
-                # the input->output copy is what makes this variant
-                # costlier than the in-place one (section 2.3)
-                duration += 2.0 * block_bytes / (copy_GBs * 1e9)
-                if self.tracer.enabled:
-                    self._trace_collective(
-                        "allgather-oop", dst_buffer, algo_name, start,
-                        duration, total_bytes, rounds,
-                        [block_bytes] * self.size, positions,
-                    )
-                if self.netflow is not None:
-                    self.netflow.record_collective(
-                        "allgather-oop", dst_buffer, algo_name,
-                        self.topology, rounds, [block_bytes] * self.size,
-                        positions, start, self._pace(), total_bytes,
-                        duration,
-                    )
-        self.comm_bytes += total_bytes
-        if self.metrics.enabled:
-            self.metrics.inc("comm.gathers", algo=algo_name)
-        self._finish(start, duration)
-        return duration
+            # local phase: every rank's own slice moves into place
+            dst[lo:hi] = src[:per_rank]
+        block_bytes = self.nodes[0].buffer(src_buffer).itemsize * per_rank
+        # the input->output copy is what makes this variant costlier
+        # than the in-place one (section 2.3)
+        return self._allgather(
+            "allgather-oop", dst_buffer, bounds, [block_bytes] * self.size,
+            algo, copy_s=2.0 * block_bytes / (copy_GBs * 1e9),
+        )
 
     def allgatherv_in_place(
         self, buffer: str, base: int, counts: list[int], algo: str = "auto"
@@ -438,35 +452,9 @@ class Communicator:
                 )
             bounds.append((lo, hi))
         itemsize = self.nodes[0].buffer(buffer).itemsize
-        byte_counts = [c * itemsize for c in counts]
-        algo_name = self._resolve_algo(algo, float(sum(byte_counts)))
-        self.last_algorithm = algo_name
-        self._guard("allgatherv")
-        start = self._sync_start()
-        total_bytes = 0
-        duration = 0.0
-        if self.size > 1 and sum(byte_counts) > 0:
-            rounds, positions = self._schedule(algo_name)
-            total_bytes = self._move_blocks(buffer, rounds, bounds, None)
-            duration = coll.schedule_cost(
-                self.topology, rounds, byte_counts, positions
-            )
-            if self.tracer.enabled:
-                self._trace_collective(
-                    "allgatherv", buffer, algo_name, start, duration,
-                    total_bytes, rounds, byte_counts, positions,
-                )
-            if self.netflow is not None:
-                self.netflow.record_collective(
-                    "allgatherv", buffer, algo_name, self.topology, rounds,
-                    byte_counts, positions, start, self._pace(),
-                    total_bytes, duration,
-                )
-        self.comm_bytes += total_bytes
-        if self.metrics.enabled:
-            self.metrics.inc("comm.gathers", algo=algo_name)
-        self._finish(start, duration)
-        return duration
+        return self._allgather(
+            "allgatherv", buffer, bounds, [c * itemsize for c in counts], algo
+        )
 
     def allreduce_sum(self, buffer: str) -> float:
         """Element-wise sum of every node's replica of ``buffer``; all

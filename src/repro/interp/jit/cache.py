@@ -26,15 +26,12 @@ never be able to change what a run computes.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 from repro.errors import JITError
-from repro.ioutil import atomic_write_text
+from repro.ioutil import JsonEntryStore
 
 __all__ = ["CompileCache", "DEFAULT_CACHE_PATH", "source_digest"]
-
-SCHEMA_VERSION = 1
 
 #: default cache file used by ``repro run --backend jit --jit-cache``
 DEFAULT_CACHE_PATH = ".repro-jit-cache.json"
@@ -44,16 +41,18 @@ def source_digest(source: str) -> str:
     return hashlib.sha256(source.encode()).hexdigest()
 
 
-class CompileCache:
+class CompileCache(JsonEntryStore):
     """In-memory view of the compile cache, JSON round-trippable."""
+
+    error = JITError
+    noun = "compile cache"
 
     def __init__(
         self,
         entries: dict[str, dict] | None = None,
         path: str | Path | None = None,
     ):
-        self.entries: dict[str, dict] = dict(entries or {})
-        self.path = Path(path) if path is not None else None
+        super().__init__(entries, path)
         #: entries dropped by integrity checks since load (observable in
         #: tests and the CLI's cache stats)
         self.rejected = 0
@@ -69,10 +68,9 @@ class CompileCache:
         entry = self.entries.get(key)
         if entry is None:
             return None
-        source = entry.get("source")
+        source = entry.get("source") if isinstance(entry, dict) else None
         if (
-            not isinstance(entry, dict)
-            or not isinstance(source, str)
+            not isinstance(source, str)
             or not isinstance(entry.get("mask_free"), bool)
             or entry.get("sha256") != source_digest(source)
         ):
@@ -91,55 +89,3 @@ class CompileCache:
             "sha256": source_digest(source),
             "source": source,
         }
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    # -- persistence ----------------------------------------------------
-    def save(self, path: str | Path | None = None) -> Path:
-        """Write the cache as JSON; returns the path written.
-
-        The write is atomic (temp file + ``os.replace``, like ``.rckp``
-        writes): the serving loop saves this cache after every compile
-        while other jobs may be loading it, and a reader must see the
-        old document or the new one, never a torn file.
-        """
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise JITError("compile cache has no path to save to")
-        atomic_write_text(
-            target,
-            json.dumps(
-                {"version": SCHEMA_VERSION, "entries": self.entries},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
-        self.path = target
-        return target
-
-    @classmethod
-    def load(cls, path: str | Path) -> CompileCache:
-        """Read a cache file; a missing file yields an empty cache bound
-        to the same path (so a later :meth:`save` creates it)."""
-        p = Path(path)
-        if not p.exists():
-            return cls(path=p)
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise JITError(f"compile cache {p} is not valid JSON: {e}")
-        if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
-            raise JITError(
-                f"compile cache {p} has unsupported version "
-                f"{doc.get('version') if isinstance(doc, dict) else doc!r}"
-            )
-        entries = doc.get("entries", {})
-        if not isinstance(entries, dict):
-            raise JITError(f"compile cache {p}: entries must be an object")
-        return cls(entries=entries, path=p)
-
-    def __repr__(self) -> str:
-        where = f" @ {self.path}" if self.path else ""
-        return f"CompileCache({len(self)} entries{where})"

@@ -36,14 +36,20 @@ under a :class:`RecoveryPolicy`:
 
 All recovery work is charged to the simulated clocks and recorded in the
 launch's :class:`~repro.runtime.program.PhaseTimes` (``recovery`` field),
-so benchmarks can quantify fault overhead.  Without a fault plan the
-runtime takes exactly the fault-free code path: identical modeled times,
-identical traces.
+so benchmarks can quantify fault overhead.
+
+There is one launch driver (:meth:`CuCCRuntime._run_phases`): the
+recovery loop is the launch path.  Without a fault plan no injector
+exists, every fault hook returns at once — no boundary poll, no
+straggler check, no pre-launch snapshot of the written buffers — and
+the loop body runs exactly once, leaving the same modeled times and the
+same traces as an armed injector that never fires
+(``tests/test_faults.py`` gates both).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.analysis.distributable import analyze_kernel, finalize_plan
 from repro.cluster.cluster import Cluster
@@ -62,7 +68,7 @@ from repro.interp.machine import BlockExecutor
 from repro.ir.stmt import Kernel
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import NULL_TRACER, SpanKind, Tracer
-from repro.runtime.memory_manager import ClusterMemory
+from repro.runtime.memory_manager import Checkpoint, ClusterMemory
 from repro.runtime.program import CompiledKernel, LaunchRecord, PhaseTimes
 from repro.transform.blockwrap import generate_kernel_module
 from repro.transform.hostgen import generate_host_module
@@ -120,6 +126,76 @@ class RecoveryPolicy:
             raise ValueError(f"min_nodes must be >= 1, got {self.min_nodes}")
 
 
+@dataclass
+class _LaunchState:
+    """Mid-launch accounting of the three-phase driver.
+
+    One per launch: built fresh, or restored from the ``pending`` dict of
+    a durable checkpoint, and serialised back to that dict at every stage
+    point (see :mod:`repro.ops.manager`; the snapshot's bulk data travels
+    separately as PENDING_RANK segments).
+    """
+
+    kernel: str
+    config: LaunchConfig
+    overhead: float
+    #: stage point a restored launch re-enters at (None: from the top)
+    stage: str | None = None
+    partial_time: float = 0.0
+    partial_counters: list[OpCounters] = field(default_factory=list)
+    allgather_time: float = 0.0
+    allgather_algos: list[str] = field(default_factory=list)
+    retries: int = 0
+    recoveries: int = 0
+    recovery_time: float = 0.0
+    #: cursor into the injector's event log where this launch began
+    events_start: int = 0
+    #: in-memory pre-launch snapshot of the written buffers
+    ckpt: Checkpoint | None = None
+
+    def restore(self, pending: dict) -> None:
+        self.overhead = float(pending["overhead"])
+        self.stage = pending["stage"]
+        self.partial_time = float(pending["partial_time"])
+        self.partial_counters = [
+            OpCounters(**c) for c in pending["partial_counters"]
+        ]
+        self.allgather_time = float(pending["allgather_time"])
+        self.allgather_algos = list(pending["allgather_algos"])
+        self.retries = int(pending["retries"])
+        self.recoveries = int(pending["recoveries"])
+        self.recovery_time = float(pending["recovery_time"])
+        self.events_start = int(pending["events_start"])
+        self.ckpt = pending.get("_ckpt_obj")
+
+    def to_pending(self, stage: str) -> dict:
+        ckpt = self.ckpt
+        return {
+            "stage": stage,
+            "kernel": self.kernel,
+            "grid": list(self.config.grid),
+            "block": list(self.config.block),
+            "overhead": self.overhead,
+            "partial_time": self.partial_time,
+            "partial_counters": [c.as_dict() for c in self.partial_counters],
+            "allgather_time": self.allgather_time,
+            "allgather_algos": list(self.allgather_algos),
+            "retries": self.retries,
+            "recoveries": self.recoveries,
+            "recovery_time": self.recovery_time,
+            "events_start": self.events_start,
+            "ckpt": (
+                None
+                if ckpt is None
+                else {
+                    "label": ckpt.label,
+                    "sim_time": ckpt.sim_time,
+                    "buffers": sorted(ckpt.data),
+                }
+            ),
+        }
+
+
 class CuCCRuntime:
     """Compile-and-launch interface over a simulated CPU cluster.
 
@@ -135,8 +211,9 @@ class CuCCRuntime:
             identical, much faster for large node counts.  Timing is
             unaffected (every node is charged the full work either way).
         fault_plan: optional deterministic fault schedule (see
-            :mod:`repro.cluster.faults`).  ``None`` (default) disables
-            every fault hook — zero overhead, identical modeled times.
+            :mod:`repro.cluster.faults`).  ``None`` (default) or an
+            empty plan builds no injector: no fault hook fires, no
+            pre-launch snapshot is taken, modeled times are identical.
         recovery: recovery policy; defaults to :class:`RecoveryPolicy()`.
         sanitize: run the kernel sanitizer — the static race detector at
             :meth:`compile` (``CompiledKernel.sanitizer_report``) and the
@@ -409,7 +486,6 @@ class CuCCRuntime:
             for b in set(buffer_args.values())
         )
 
-        overhead = self.params.cpu_launch_overhead_s
         pending = None
         if self._resume is not None:
             ff, pending = self._take_resume_step(kernel, config)
@@ -421,10 +497,11 @@ class CuCCRuntime:
                 record = record_from_dict(ff, config, plan)
                 self.launches.append(record)
                 return record
-            if pending is not None:
-                # mid-flight launch: its overhead was charged (and
-                # checkpointed into the clocks) before the interrupt
-                overhead = float(pending["overhead"])
+        state = _LaunchState(
+            kernel.name, config, self.params.cpu_launch_overhead_s
+        )
+        if pending is not None:
+            state.restore(pending)
         lspan = (
             self.tracer.begin(
                 f"launch {kernel.name}",
@@ -435,8 +512,10 @@ class CuCCRuntime:
             else None
         )
         if pending is None:
+            # (a mid-flight launch's overhead was charged, and
+            # checkpointed into the clocks, before the interrupt)
             for node in self.cluster.nodes:
-                node.clock.advance(overhead)
+                node.clock.advance(state.overhead)
 
         if self.sanitize:
             from repro.sanitize import DynamicSanitizer
@@ -446,16 +525,10 @@ class CuCCRuntime:
             # replicated executions surfaces as a non-replicated write
             self._cur_san = DynamicSanitizer(kernel.name)
         try:
-            if self.injector is None:
-                record = self._launch_plain(
-                    kernel, config, plan, buffer_args, scalar_args,
-                    vectorized, working_set, overhead, pending=pending,
-                )
-            else:
-                record = self._launch_fault_tolerant(
-                    compiled, kernel, config, plan, buffer_args, scalar_args,
-                    vectorized, working_set, overhead, pending=pending,
-                )
+            record = self._run_phases(
+                compiled, config, plan, buffer_args, scalar_args,
+                vectorized, working_set, state,
+            )
         finally:
             san, self._cur_san = self._cur_san, None
             if lspan is not None:
@@ -561,145 +634,42 @@ class CuCCRuntime:
         )
 
     # ------------------------------------------------------------------
-    # fault-free path (exactly the seed behaviour)
+    # the three-phase driver
     # ------------------------------------------------------------------
-    def _launch_plain(
-        self, kernel, config, plan, buffer_args, scalar_args,
-        vectorized, working_set, overhead, pending=None,
-    ) -> LaunchRecord:
-        stage = pending["stage"] if pending is not None else None
-        if stage is None:
-            partial_time, partial_counters = self._run_partial_phase(
-                kernel, config, plan, buffer_args, scalar_args, vectorized,
-                working_set,
-            )
-            if self.ops is not None:
-                self.ops.on_stage(
-                    "allgather",
-                    self._pending_dict(
-                        "allgather", kernel, config, overhead,
-                        partial_time, partial_counters,
-                    ),
-                )
-        else:
-            # resumed mid-launch: the partial phase already ran (its
-            # results are in the restored replicas and clocks)
-            partial_time = float(pending["partial_time"])
-            partial_counters = [
-                OpCounters(**c) for c in pending["partial_counters"]
-            ]
-        if stage != "callback":
-            allgather_time, algos = self._run_allgather_phase(
-                plan, buffer_args
-            )
-            if self.ops is not None:
-                self.ops.on_stage(
-                    "callback",
-                    self._pending_dict(
-                        "callback", kernel, config, overhead,
-                        partial_time, partial_counters,
-                        allgather_time=allgather_time, algos=algos,
-                    ),
-                )
-        else:
-            allgather_time = float(pending["allgather_time"])
-            algos = list(pending["allgather_algos"])
-        callback_counters = OpCounters()
-        callback_time = 0.0
-        cb = plan.callback_blocks
-        if len(cb) > 0:
-            callback_time = self._run_replicated(
-                kernel, config, buffer_args, scalar_args, cb,
-                callback_counters, vectorized, working_set,
-            )
-        return LaunchRecord(
-            kernel_name=kernel.name,
-            config=config,
-            plan=plan,
-            phases=PhaseTimes(
-                partial=partial_time,
-                allgather=allgather_time,
-                callback=callback_time,
-                overhead=overhead,
-                allgather_algos=tuple(algos),
-            ),
-            partial_counters=partial_counters,
-            callback_counters=callback_counters,
-            comm_bytes=plan.comm_bytes,
-        )
-
-    # ------------------------------------------------------------------
-    # fault-tolerant path
-    # ------------------------------------------------------------------
-    def _launch_fault_tolerant(
-        self, compiled, kernel, config, plan, buffer_args, scalar_args,
-        vectorized, working_set, overhead, pending=None,
+    def _run_phases(
+        self, compiled, config, plan, buffer_args, scalar_args,
+        vectorized, working_set, state,
     ) -> LaunchRecord:
         """Drive the three phases under the recovery policy.
 
         The loop re-enters after every survived permanent failure; the
         ``allgather_done`` flag encodes the replication-invariant point
         reached, which decides how much work a recovery must replay.
+        Without an injector the fault hooks return at once and nothing
+        can raise, so the loop body runs exactly once.
 
-        ``pending`` (from a durable-checkpoint resume) re-enters the
-        loop at the recorded stage with the restored phase accounting;
-        completed phases are skipped structurally, so the stage points a
-        resumed launch reaches are exactly the uninterrupted run's
-        remaining ones.
+        A ``state`` restored from a durable checkpoint re-enters the
+        loop at its recorded stage; completed phases are skipped
+        structurally, so the stage points a resumed launch reaches are
+        exactly the uninterrupted run's remaining ones.
         """
-        inj = self.injector
-        pol = self.recovery
-        written = sorted(
-            {
-                buffer_args[r.buffer]
-                for r in compiled.analysis.records
-                if r.buffer in buffer_args
-            }
-        )
-        if pending is None:
-            events_start = inj.begin_launch(self.cluster.nodes)
-            ckpt = (
-                self.memory.checkpoint(written, label=f"launch:{kernel.name}")
-                if written
-                else None
-            )
-            retries = 0
-            recoveries = 0
-            recovery_time = 0.0
-            allgather_done = False
-            allgather_algos: list[str] = []
-            partial_time = allgather_time = 0.0
-            partial_counters: list[OpCounters] = []
-            resume_stage = None
-        else:
-            events_start = int(pending["events_start"])
-            ckpt = pending.get("_ckpt_obj")
-            retries = int(pending["retries"])
-            recoveries = int(pending["recoveries"])
-            recovery_time = float(pending["recovery_time"])
-            partial_time = float(pending["partial_time"])
-            partial_counters = [
-                OpCounters(**c) for c in pending["partial_counters"]
-            ]
-            allgather_time = float(pending["allgather_time"])
-            allgather_algos = list(pending["allgather_algos"])
-            resume_stage = pending["stage"]
-            allgather_done = resume_stage == "callback"
-        callback_time = 0.0
-        callback_counters = OpCounters()
+        kernel = compiled.kernel
+        if state.stage is None:
+            self._open_fault_window(compiled, buffer_args, state)
+        allgather_done = state.stage == "callback"
 
         while True:
             attempt_partial = attempt_allgather = 0.0
             try:
                 if not allgather_done:
-                    if resume_stage == "allgather":
+                    if state.stage == "allgather":
                         # resumed right before phase 2: the partial
                         # phase's work and time are already restored
-                        resume_stage = None
-                        attempt_partial = partial_time
+                        state.stage = None
+                        attempt_partial = state.partial_time
                     else:
                         self._fault_boundary("partial")
-                        attempt_partial, partial_counters = (
+                        attempt_partial, state.partial_counters = (
                             self._run_partial_phase(
                                 kernel, config, plan, buffer_args,
                                 scalar_args, vectorized, working_set,
@@ -707,44 +677,18 @@ class CuCCRuntime:
                             )
                         )
                         self._check_stragglers(plan, node_times)
-                        if self.ops is not None:
-                            self.ops.on_stage(
-                                "allgather",
-                                self._pending_dict(
-                                    "allgather", kernel, config, overhead,
-                                    attempt_partial, partial_counters,
-                                    retries=retries, recoveries=recoveries,
-                                    recovery_time=recovery_time,
-                                    events_start=events_start, ckpt=ckpt,
-                                ),
-                                ckpt=ckpt,
-                                recovered=recoveries > 0,
-                            )
+                        state.partial_time = attempt_partial
+                        self._stage_point("allgather", state)
                     self._fault_boundary("allgather")
-                    attempt_allgather, extra, nretry, allgather_algos = (
+                    attempt_allgather, extra, nretry, algos = (
                         self._run_allgather_retrying(plan, buffer_args)
                     )
-                    retries += nretry
-                    recovery_time += extra
-                    partial_time, allgather_time = (
-                        attempt_partial, attempt_allgather,
-                    )
+                    state.retries += nretry
+                    state.recovery_time += extra
+                    state.allgather_time = attempt_allgather
+                    state.allgather_algos = algos
                     allgather_done = True
-                    if self.ops is not None:
-                        self.ops.on_stage(
-                            "callback",
-                            self._pending_dict(
-                                "callback", kernel, config, overhead,
-                                partial_time, partial_counters,
-                                allgather_time=allgather_time,
-                                algos=allgather_algos,
-                                retries=retries, recoveries=recoveries,
-                                recovery_time=recovery_time,
-                                events_start=events_start, ckpt=ckpt,
-                            ),
-                            ckpt=ckpt,
-                            recovered=recoveries > 0,
-                        )
+                    self._stage_point("callback", state)
                 self._fault_boundary("callback")
                 callback_counters = OpCounters()
                 callback_time = 0.0
@@ -756,19 +700,19 @@ class CuCCRuntime:
                     )
                 break
             except NodeFailure as e:
-                recoveries += 1
+                state.recoveries += 1
                 # work of the failed attempt is lost: account it as
                 # recovery cost, not as productive phase time
-                recovery_time += attempt_partial + attempt_allgather
-                recovery_time += self._recover_from_node_loss(
-                    e, compiled, config, scalar_args, ckpt, allgather_done
+                state.recovery_time += attempt_partial + attempt_allgather
+                state.recovery_time += self._recover_from_node_loss(
+                    e, state.ckpt, allgather_done
                 )
                 if not allgather_done:
                     plan = finalize_plan(
                         compiled.analysis, config, scalar_args,
                         self.cluster.num_nodes,
                     )
-                    inj.record(
+                    self.injector.record(
                         "replan",
                         self.cluster.max_clock,
                         detail=(
@@ -777,62 +721,65 @@ class CuCCRuntime:
                         ),
                     )
 
+        inj = self.injector
         return LaunchRecord(
             kernel_name=kernel.name,
             config=config,
             plan=plan,
             phases=PhaseTimes(
-                partial=partial_time,
-                allgather=allgather_time,
+                partial=state.partial_time,
+                allgather=state.allgather_time,
                 callback=callback_time,
-                overhead=overhead,
-                recovery=recovery_time,
-                allgather_algos=tuple(allgather_algos),
+                overhead=state.overhead,
+                recovery=state.recovery_time,
+                allgather_algos=tuple(state.allgather_algos),
             ),
-            partial_counters=partial_counters,
+            partial_counters=state.partial_counters,
             callback_counters=callback_counters,
             comm_bytes=plan.comm_bytes,
-            fault_events=list(inj.events[events_start:]),
-            retries=retries,
-            recoveries=recoveries,
+            fault_events=(
+                list(inj.events[state.events_start:]) if inj is not None else []
+            ),
+            retries=state.retries,
+            recoveries=state.recoveries,
         )
 
-    def _pending_dict(
-        self, stage, kernel, config, overhead, partial_time,
-        partial_counters, allgather_time=0.0, algos=(), retries=0,
-        recoveries=0, recovery_time=0.0, events_start=0, ckpt=None,
-    ) -> dict:
-        """The mid-launch state a durable checkpoint needs to resume the
-        current launch at ``stage`` (see repro.ops.manager); the ckpt's
-        bulk data travels separately as PENDING_RANK segments."""
-        return {
-            "stage": stage,
-            "kernel": kernel.name,
-            "grid": list(config.grid),
-            "block": list(config.block),
-            "overhead": overhead,
-            "partial_time": partial_time,
-            "partial_counters": [c.as_dict() for c in partial_counters],
-            "allgather_time": allgather_time,
-            "allgather_algos": list(algos),
-            "retries": retries,
-            "recoveries": recoveries,
-            "recovery_time": recovery_time,
-            "events_start": events_start,
-            "ckpt": (
-                None
-                if ckpt is None
-                else {
-                    "label": ckpt.label,
-                    "sim_time": ckpt.sim_time,
-                    "buffers": sorted(ckpt.data),
-                }
-            ),
-        }
+    def _stage_point(self, stage: str, state) -> None:
+        """Transition into ``stage``: the one place the durable-checkpoint
+        layer observes a launch mid-flight."""
+        if self.ops is not None:
+            self.ops.on_stage(
+                stage,
+                state.to_pending(stage),
+                ckpt=state.ckpt,
+                recovered=state.recoveries > 0,
+            )
+
+    def _open_fault_window(self, compiled, buffer_args, state) -> None:
+        """Arm the injector for a new launch and snapshot the buffers the
+        kernel writes (the pre-launch replication invariant a recovery
+        restores).  Nothing to arm without an injector — in particular
+        no host copy of the written buffers is taken."""
+        if self.injector is None:
+            return
+        written = sorted(
+            {
+                buffer_args[r.buffer]
+                for r in compiled.analysis.records
+                if r.buffer in buffer_args
+            }
+        )
+        state.events_start = self.injector.begin_launch(self.cluster.nodes)
+        if written:
+            state.ckpt = self.memory.checkpoint(
+                written, label=f"launch:{state.kernel}"
+            )
 
     def _fault_boundary(self, phase: str) -> None:
         """Deliver scheduled crashes due at this phase boundary; any dead
         node surfaces as a NodeFailure for the recovery driver."""
+        if self.injector is None:
+            return
         nodes = self.cluster.nodes
         self.injector.poll_crashes(phase, self.cluster.max_clock, nodes)
         dead = tuple(n.born_rank for n in nodes if not n.alive)
@@ -844,6 +791,8 @@ class CuCCRuntime:
     def _check_stragglers(self, plan, node_times: list[float]) -> None:
         """Flag nodes whose partial-phase time ran past the policy's
         timeout (straggler_factor x the median node); optionally evict."""
+        if self.injector is None:
+            return
         import statistics
 
         nodes = self.cluster.nodes
@@ -954,12 +903,13 @@ class CuCCRuntime:
                 tracer.end(aspan, self.cluster.max_clock)
         return total, extra, retries, algos
 
-    def _recover_from_node_loss(
-        self, failure, compiled, config, scalar_args, ckpt, allgather_done
-    ) -> float:
+    def _recover_from_node_loss(self, failure, ckpt, allgather_done) -> float:
         """Shrink-and-repartition recovery; returns the modeled time it
         charged (detection timeout).  Raises ClusterError when too few
-        nodes survive."""
+        nodes survive; without a fault plan no recovery is armed and the
+        failure stays the caller's."""
+        if self.injector is None:
+            raise failure
         pol = self.recovery
         survivors = self.cluster.alive_nodes
         if len(survivors) < max(1, pol.min_nodes):
@@ -1008,7 +958,7 @@ class CuCCRuntime:
         return pol.failure_detect_s
 
     # ------------------------------------------------------------------
-    # phase executors (shared by both paths)
+    # phase executors
     # ------------------------------------------------------------------
     def _run_partial_phase(
         self, kernel, config, plan, buffer_args, scalar_args, vectorized,
@@ -1071,39 +1021,6 @@ class CuCCRuntime:
             if pspan is not None:
                 tracer.end(pspan, self.cluster.max_clock)
         return partial_time, partial_counters
-
-    def _run_allgather_phase(
-        self, plan, buffer_args
-    ) -> tuple[float, list[str]]:
-        """Phase 2: one balanced in-place Allgather per written buffer.
-
-        Returns the phase duration and the unique concrete algorithm(s)
-        the communicator ran, in first-use order."""
-        allgather_time = 0.0
-        algos: list[str] = []
-        if not plan.replicated and plan.p_size > 0:
-            tracer = self.tracer
-            aspan = (
-                tracer.begin(
-                    "allgather", SpanKind.PHASE, self.cluster.max_clock
-                )
-                if tracer.enabled
-                else None
-            )
-            comm = self.cluster.comm
-            for bp in plan.buffers:
-                allgather_time += comm.allgather_in_place(
-                    buffer_args[bp.buffer],
-                    bp.base_elem,
-                    plan.p_size * bp.unit_elems,
-                    algo=self.allgather_algo,
-                )
-                if comm.last_algorithm and comm.last_algorithm not in algos:
-                    algos.append(comm.last_algorithm)
-            if aspan is not None:
-                aspan.args["algos"] = list(algos)
-                tracer.end(aspan, self.cluster.max_clock)
-        return allgather_time, algos
 
     # ------------------------------------------------------------------
     def _executor(self, kernel, config, buffer_args, scalar_args, node,

@@ -21,17 +21,12 @@ On-disk format (``version`` guards future schema changes)::
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.cluster.collectives import ALLGATHER_ALGOS
 from repro.cluster.topology import Topology
 from repro.errors import ClusterError
-from repro.ioutil import atomic_write_text
+from repro.ioutil import JsonEntryStore
 
 __all__ = ["TuningCache", "payload_bucket", "DEFAULT_CACHE_PATH"]
-
-SCHEMA_VERSION = 1
 
 #: default cache file written by ``repro tune`` and read by ``repro run``
 DEFAULT_CACHE_PATH = ".repro-tuning.json"
@@ -46,16 +41,11 @@ def payload_bucket(nbytes: float) -> int:
     return (n - 1).bit_length()
 
 
-class TuningCache:
+class TuningCache(JsonEntryStore):
     """In-memory view of the tuning table, JSON round-trippable."""
 
-    def __init__(
-        self,
-        entries: dict[str, dict] | None = None,
-        path: str | Path | None = None,
-    ):
-        self.entries: dict[str, dict] = dict(entries or {})
-        self.path = Path(path) if path is not None else None
+    error = ClusterError
+    noun = "tuning cache"
 
     # -- keying ---------------------------------------------------------
     @staticmethod
@@ -64,10 +54,11 @@ class TuningCache:
 
     # -- access ---------------------------------------------------------
     def lookup(self, topo: Topology, n: int, nbytes: float) -> str | None:
-        """The cached winner for this bucket, or ``None`` on a miss (or
-        when the cached name is no longer a known algorithm)."""
+        """The cached winner for this bucket, or ``None`` on a miss (a
+        damaged entry, or a name that is no longer a known algorithm,
+        is a miss too)."""
         entry = self.entries.get(self.key(topo.signature, n, nbytes))
-        if entry is None:
+        if not isinstance(entry, dict):
             return None
         algo = entry.get("algo")
         return algo if algo in ALLGATHER_ALGOS else None
@@ -87,58 +78,6 @@ class TuningCache:
             "costs": {k: float(v) for k, v in (costs or {}).items()},
         }
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def merge(self, other: TuningCache) -> None:
         """Adopt every entry of ``other`` (theirs win on conflict)."""
         self.entries.update(other.entries)
-
-    # -- persistence ----------------------------------------------------
-    def save(self, path: str | Path | None = None) -> Path:
-        """Write the cache as JSON; returns the path written.
-
-        The write is atomic (temp file + ``os.replace``, like ``.rckp``
-        writes) so concurrent jobs sharing the cache never observe a
-        torn file — a reader sees the old contents or the new, nothing
-        in between.
-        """
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ClusterError("tuning cache has no path to save to")
-        atomic_write_text(
-            target,
-            json.dumps(
-                {"version": SCHEMA_VERSION, "entries": self.entries},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
-        self.path = target
-        return target
-
-    @classmethod
-    def load(cls, path: str | Path) -> TuningCache:
-        """Read a cache file; a missing file yields an empty cache bound
-        to the same path (so a later :meth:`save` creates it)."""
-        p = Path(path)
-        if not p.exists():
-            return cls(path=p)
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise ClusterError(f"tuning cache {p} is not valid JSON: {e}")
-        if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
-            raise ClusterError(
-                f"tuning cache {p} has unsupported version "
-                f"{doc.get('version') if isinstance(doc, dict) else doc!r}"
-            )
-        entries = doc.get("entries", {})
-        if not isinstance(entries, dict):
-            raise ClusterError(f"tuning cache {p}: entries must be an object")
-        return cls(entries=entries, path=p)
-
-    def __repr__(self) -> str:
-        where = f" @ {self.path}" if self.path else ""
-        return f"TuningCache({len(self)} entries{where})"

@@ -164,6 +164,35 @@ def test_corruption_surfaces_without_retry_policy():
     assert list(cl.nodes[1].buffer("d")[:4]) != [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("variant", ["out_of_place", "v"])
+def test_corruption_surfaces_on_every_allgather_variant(variant):
+    """The out-of-place and ragged variants run the same engine as the
+    in-place one: a corruption fault landing on them flips a byte in
+    flight and raises after the transfer, not just logs an event."""
+    cl = Cluster(SIMD_FOCUSED_NODE, 2)
+    from repro.cluster.faults import FaultInjector
+
+    cl.comm.injector = FaultInjector(FaultPlan((CorruptionFault(op=1, rank=0),)))
+    for node in cl.nodes:
+        node.alloc("s", 4, np.int64)[:] = node.rank + 1
+        buf = node.alloc("d", 8, np.int64)
+        buf[node.rank * 4 : (node.rank + 1) * 4] = node.rank + 1
+
+    def gather():
+        if variant == "out_of_place":
+            return cl.comm.allgather_out_of_place("s", "d", 4, copy_GBs=10.0)
+        return cl.comm.allgatherv_in_place("d", 0, [4, 4])
+
+    with pytest.raises(DataCorruptionError, match="rank 0's contribution"):
+        gather()
+    assert list(cl.nodes[0].buffer("d")[:4]) == [1, 1, 1, 1]
+    assert list(cl.nodes[1].buffer("d")[:4]) != [1, 1, 1, 1]
+    # the retry a caller would issue finds the fault spent and repairs it
+    gather()
+    for node in cl.nodes:
+        assert list(node.buffer("d")) == [1, 1, 1, 1, 2, 2, 2, 2]
+
+
 # ---------------------------------------------------------------------------
 # stragglers
 # ---------------------------------------------------------------------------
@@ -290,10 +319,31 @@ def test_dead_node_refuses_memory_access():
     assert "DOWN" in repr(cl.nodes[1])
 
 
+#: what a communicator rebuild (shrink/grow) must carry over
+CARRIED = (
+    "injector", "topology", "tuning", "tracer", "metrics", "netflow",
+    "comm_seconds", "comm_bytes",
+)
+
+
 def test_remove_dead_reranks_survivors():
-    cl = Cluster(SIMD_FOCUSED_NODE, 4)
+    from repro.cluster.faults import FaultInjector
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.netflow import NetFlowLedger
+    from repro.obs.tracer import Tracer
+    from repro.tuning import TuningCache
+
+    cl = Cluster(SIMD_FOCUSED_NODE, 4, tuning=TuningCache())
+    old = cl.comm
+    old.injector = FaultInjector(FaultPlan((TransientFault(op=9),)))
+    old.tracer, old.metrics, old.netflow = (
+        Tracer(), MetricsRegistry(), NetFlowLedger()
+    )
+    old.comm_seconds, old.comm_bytes = 0.25, 4096
     cl.nodes[1].fail("test")
     removed = cl.remove_dead()
+    assert cl.comm is not old
+    assert all(getattr(cl.comm, a) is getattr(old, a) for a in CARRIED)
     assert [n.born_rank for n in removed] == [1]
     assert cl.num_nodes == 3
     assert [n.rank for n in cl.nodes] == [0, 1, 2]  # contiguous again
@@ -351,7 +401,7 @@ def test_deterministic_replay_random_plans(seed):
 # ---------------------------------------------------------------------------
 def test_no_fault_plan_is_bit_identical_to_seed_behaviour(spec, reference):
     ref, ref_out = reference
-    # an *empty* plan must also take the plain path
+    # an *empty* plan builds no injector at all
     res = run_on_cucc(spec, _cluster(), fault_plan=FaultPlan())
     assert res.runtime.injector is None
     assert res.time == ref.time
@@ -363,6 +413,30 @@ def test_no_fault_plan_is_bit_identical_to_seed_behaviour(spec, reference):
     # trace reports render identically (no fault summary line)
     assert res.runtime.report() == ref.runtime.report()
     assert "faults" not in ref.runtime.report()
+
+
+def test_idle_injector_is_bit_identical_to_no_injector(spec):
+    """One driver serves both: an armed injector that delivers nothing
+    leaves the same floats, buffers, clocks and trace as no injector."""
+    from repro.obs.export import chrome_trace
+
+    runs = []
+    for plan in (
+        FaultPlan(),
+        FaultPlan((NodeCrash(rank=1, phase="allgather", launch=99),)),
+    ):
+        res = run_on_cucc(spec, _cluster(), fault_plan=plan, trace=True)
+        runs.append(res)
+    bare, idle = runs
+    assert bare.runtime.injector is None and idle.runtime.injector is not None
+    assert idle.record.fault_events == [] and idle.record.recoveries == 0
+    assert idle.record.phases == bare.record.phases
+    assert [n.clock.now for n in idle.runtime.cluster.nodes] == [
+        n.clock.now for n in bare.runtime.cluster.nodes
+    ]
+    for o in spec.outputs:
+        assert np.array_equal(_outputs(spec, idle)[o], _outputs(spec, bare)[o])
+    assert chrome_trace(idle.runtime.tracer) == chrome_trace(bare.runtime.tracer)
 
 
 def test_fault_free_describe_has_no_fault_suffix(reference):

@@ -224,6 +224,17 @@ def test_cache_digest_mismatch_is_detected_even_with_valid_shape(tmp_path):
     assert cache.rejected == 1 and "k1" not in cache.entries
 
 
+def test_cache_non_object_entry_is_rejected_and_dropped(tmp_path):
+    """A damaged file with a non-object entry loads, and the entry is
+    rejected like any other damage (it used to end in AttributeError on
+    ``list.get``)."""
+    path = tmp_path / "damaged.json"
+    path.write_text('{"version": 1, "entries": {"k": []}}')
+    cache = CompileCache.load(path)
+    assert cache.lookup("k") is None
+    assert cache.rejected == 1 and "k" not in cache.entries
+
+
 def test_cache_version_guard(tmp_path):
     path = tmp_path / "old.json"
     path.write_text('{"version": 99, "entries": {}}')

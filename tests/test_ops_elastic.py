@@ -37,7 +37,15 @@ def test_grow_restores_freed_positions():
     spec, res, rt = _shrunk_runtime()
     assert freed_positions(rt.cluster) == (1,)
     before = max(n.clock.now for n in rt.cluster.nodes)
+    old_comm = rt.cluster.comm
     grown = grow_cluster(rt)
+    # the rebuilt communicator carries what shrink recovery carries
+    assert rt.cluster.comm is not old_comm
+    assert all(
+        getattr(rt.cluster.comm, a) is getattr(old_comm, a)
+        for a in ("injector", "topology", "tuning", "tracer", "metrics",
+                  "netflow", "comm_seconds", "comm_bytes")
+    )
     assert [n.born_rank for n in grown] == [1]
     assert [n.rank for n in rt.cluster.nodes] == [0, 1, 2, 3]
     assert freed_positions(rt.cluster) == ()

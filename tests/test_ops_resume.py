@@ -104,6 +104,43 @@ def test_interrupt_resume_faulted(tmp_path):
     )
 
 
+#: the on-disk mid-launch state; a checkpoint written by an older commit
+#: resumes only as long as this key set (and .rckp version) stays put
+PENDING_KEYS = {
+    "stage", "kernel", "grid", "block", "overhead", "partial_time",
+    "partial_counters", "allgather_time", "allgather_algos", "retries",
+    "recoveries", "recovery_time", "events_start", "ckpt",
+}
+PENDING_CKPT_KEYS = {"label", "sim_time", "buffers"}
+
+
+@pytest.mark.parametrize("faults", [None, "crash:rank=1,phase=allgather"])
+def test_pending_dict_key_set_is_pinned(tmp_path, faults):
+    from repro.ops.checkpoint import read_checkpoint
+
+    spec = fir.build("small")
+    stages = set()
+    for k in (1, 2, 3):
+        ckdir = tmp_path / f"halt{k}"
+        with pytest.raises(CheckpointHalt):
+            run_on_cucc(
+                spec,
+                make_cluster("simd-focused", 4),
+                fault_plan=FaultPlan.parse(faults, seed=7) if faults else None,
+                checkpoint=_policy(ckdir, halt_after=k),
+            )
+        pending = read_checkpoint(latest_checkpoint(ckdir))[0]["pending"]
+        if pending is None:
+            continue  # a launch-end checkpoint
+        stages.add(pending["stage"])
+        assert set(pending) == PENDING_KEYS
+        if faults:
+            assert set(pending["ckpt"]) == PENDING_CKPT_KEYS
+        else:
+            assert pending["ckpt"] is None  # no injector, no snapshot
+    assert stages == {"allgather", "callback"}
+
+
 def test_checkpointing_is_sim_invisible(tmp_path):
     """Armed-but-not-halting checkpoints charge zero simulated time."""
     spec = fir.build("small")

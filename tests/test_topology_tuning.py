@@ -157,6 +157,17 @@ def test_tuning_cache_rejects_garbage(tmp_path):
     assert TuningCache(cache.entries).lookup(FlatTopology(2, network=NET), 2, 8) is None
 
 
+def test_tuning_cache_non_object_entry_is_a_miss(tmp_path):
+    """A damaged file with a non-object entry loads, and the entry is a
+    miss (it used to end in AttributeError on ``list.get``)."""
+    topo = FlatTopology(2, network=NET)
+    p = tmp_path / "damaged.json"
+    p.write_text(json.dumps(
+        {"version": 1, "entries": {TuningCache.key(topo.signature, 2, 8): []}}
+    ))
+    assert TuningCache.load(p).lookup(topo, 2, 8) is None
+
+
 def test_missing_cache_file_loads_empty(tmp_path):
     cache = TuningCache.load(tmp_path / "absent.json")
     assert len(cache) == 0
