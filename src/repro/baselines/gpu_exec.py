@@ -10,16 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.simtime import SimClock
-from repro.errors import LaunchError, DeviceMemoryError
 from repro.hw.gpu import GPUSpec
 from repro.hw.perfmodel import DEFAULT_PARAMS, ModelParams, gpu_time
 from repro.interp.counters import OpCounters
 from repro.interp.grid import LaunchConfig
 from repro.interp.machine import BlockExecutor
 from repro.ir.stmt import Kernel
+from repro.runtime.memory_manager import DeviceHeap
 
 __all__ = ["GPUDevice", "GPULaunchRecord"]
 
@@ -34,7 +32,7 @@ class GPULaunchRecord:
     counters: OpCounters
 
 
-class GPUDevice:
+class GPUDevice(DeviceHeap):
     """A simulated GPU: one memory space, wave-scheduled blocks."""
 
     def __init__(
@@ -43,40 +41,12 @@ class GPUDevice:
         params: ModelParams = DEFAULT_PARAMS,
         bounds_check: bool = True,
     ):
+        super().__init__()
         self.spec = spec
         self.params = params
         self.bounds_check = bounds_check
         self.clock = SimClock()
         self.launches: list[GPULaunchRecord] = []
-        self._memory: dict[str, np.ndarray] = {}
-
-    # -- memory API --------------------------------------------------------
-    def alloc(self, name: str, size: int, dtype) -> str:
-        if name in self._memory:
-            raise DeviceMemoryError(f"buffer {name!r} already allocated")
-        self._memory[name] = np.zeros(int(size), dtype=np.dtype(dtype))
-        return name
-
-    def free(self, name: str) -> None:
-        if name not in self._memory:
-            raise DeviceMemoryError(f"unknown buffer {name!r}")
-        del self._memory[name]
-
-    def memcpy_h2d(self, name: str, host: np.ndarray) -> None:
-        buf = self._buffer(name)
-        host = np.ascontiguousarray(host).reshape(-1)
-        if host.dtype != buf.dtype or host.size != buf.size:
-            raise DeviceMemoryError(f"memcpy_h2d {name!r}: shape/dtype mismatch")
-        buf[:] = host
-
-    def memcpy_d2h(self, name: str) -> np.ndarray:
-        return self._buffer(name).copy()
-
-    def _buffer(self, name: str) -> np.ndarray:
-        try:
-            return self._memory[name]
-        except KeyError:
-            raise DeviceMemoryError(f"unknown buffer {name!r}") from None
 
     # -- launch --------------------------------------------------------------
     def launch(
@@ -84,22 +54,10 @@ class GPUDevice:
     ) -> GPULaunchRecord:
         """Run all blocks of a launch; advance the device clock."""
         config = LaunchConfig.make(grid, block)
-        run_args: dict[str, object] = {}
-        working_set = 0
-        for p in kernel.params:
-            if p.name not in args:
-                raise LaunchError(f"missing argument {p.name!r}")
-            v = args[p.name]
-            if p.is_pointer:
-                if not isinstance(v, str):
-                    raise LaunchError(
-                        f"pointer argument {p.name!r} must be a buffer name"
-                    )
-                buf = self._buffer(v)
-                run_args[p.name] = buf
-                working_set += buf.nbytes
-            else:
-                run_args[p.name] = v
+        run_args = self.bind(kernel, args)
+        working_set = sum(
+            run_args[p.name].nbytes for p in kernel.params if p.is_pointer
+        )
         counters = OpCounters()
         ex = BlockExecutor(
             kernel, config, run_args, counters, bounds_check=self.bounds_check

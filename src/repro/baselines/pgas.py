@@ -35,14 +35,14 @@ import numpy as np
 
 from repro.analysis.writes import collect_writes
 from repro.cluster.cluster import Cluster
-from repro.errors import LaunchError, DeviceMemoryError
 from repro.hw.perfmodel import DEFAULT_PARAMS, ModelParams, cpu_node_time
 from repro.interp.counters import OpCounters
 from repro.interp.grid import LaunchConfig
 from repro.interp.machine import BlockExecutor
 from repro.ir.expr import Expr
 from repro.ir.stmt import Kernel
-from repro.obs.tracer import NULL_TRACER, SpanKind, Tracer
+from repro.obs.tracer import SpanKind, Tracer
+from repro.runtime.memory_manager import DeviceHeap
 from repro.transform.vectorize import analyze_vectorizability
 
 __all__ = ["PGASRuntime", "PGASLaunchRecord", "PGAS_LOCAL_ACCESS_S"]
@@ -99,7 +99,7 @@ class PGASLaunchRecord:
         return self.incast_time / self.time if self.time > 0 else 0.0
 
 
-class PGASRuntime:
+class PGASRuntime(DeviceHeap):
     """UPC++-style distributed execution of migrated GPU kernels.
 
     GPU blocks are split in contiguous ranges across nodes (paper
@@ -114,46 +114,15 @@ class PGASRuntime:
         bounds_check: bool = True,
         trace: bool | Tracer = False,
     ):
+        super().__init__()
         self.cluster = cluster
         self.params = params
         self.bounds_check = bounds_check
         #: span tracer (see repro.obs); shared with the communicator so
         #: the final barrier shows up as a collective span
-        self.tracer: Tracer = (
-            trace if isinstance(trace, Tracer)
-            else (Tracer() if trace else NULL_TRACER)
-        )
+        self.tracer: Tracer = Tracer.from_option(trace)
         cluster.comm.tracer = self.tracer
         self.launches: list[PGASLaunchRecord] = []
-        self._memory: dict[str, np.ndarray] = {}
-
-    # -- global heap --------------------------------------------------------
-    def alloc(self, name: str, size: int, dtype) -> str:
-        if name in self._memory:
-            raise DeviceMemoryError(f"buffer {name!r} already allocated")
-        self._memory[name] = np.zeros(int(size), dtype=np.dtype(dtype))
-        return name
-
-    def free(self, name: str) -> None:
-        if name not in self._memory:
-            raise DeviceMemoryError(f"unknown buffer {name!r}")
-        del self._memory[name]
-
-    def memcpy_h2d(self, name: str, host: np.ndarray) -> None:
-        buf = self._buffer(name)
-        host = np.ascontiguousarray(host).reshape(-1)
-        if host.dtype != buf.dtype or host.size != buf.size:
-            raise DeviceMemoryError(f"memcpy_h2d {name!r}: shape/dtype mismatch")
-        buf[:] = host
-
-    def memcpy_d2h(self, name: str) -> np.ndarray:
-        return self._buffer(name).copy()
-
-    def _buffer(self, name: str) -> np.ndarray:
-        try:
-            return self._memory[name]
-        except KeyError:
-            raise DeviceMemoryError(f"unknown buffer {name!r}") from None
 
     # -- launch ----------------------------------------------------------------
     def launch(
@@ -161,25 +130,14 @@ class PGASRuntime:
     ) -> PGASLaunchRecord:
         config = LaunchConfig.make(grid, block)
         n = self.cluster.num_nodes
-        run_args: dict[str, object] = {}
-        buffer_params: list[str] = []
-        for p in kernel.params:
-            if p.name not in args:
-                raise LaunchError(f"missing argument {p.name!r}")
-            v = args[p.name]
-            if p.is_pointer:
-                if not isinstance(v, str):
-                    raise LaunchError(
-                        f"pointer argument {p.name!r} must be a buffer name"
-                    )
-                run_args[p.name] = self._buffer(v)
-                buffer_params.append(p.name)
-            else:
-                run_args[p.name] = v
+        run_args = self.bind(kernel, args)
 
         # written buffers become rank-0-affinity global arrays
         written = {rec.buffer for rec in collect_writes(kernel)}
-        global_params = {name: 0 for name in buffer_params if name in written}
+        global_params = {
+            p.name: 0 for p in kernel.params
+            if p.is_pointer and p.name in written
+        }
         vectorized = analyze_vectorizability(kernel).vectorizable
 
         B = config.num_blocks

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from repro.cluster.cluster import Cluster
 from repro.hw.cpu import CPUSpec
-from repro.hw.perfmodel import DEFAULT_PARAMS, ModelParams
 from repro.hw.specs import INFINIBAND_100G
-from repro.obs.tracer import Tracer
 from repro.runtime.cucc import CuCCRuntime
 
 __all__ = ["SingleCPURuntime"]
@@ -23,24 +21,10 @@ __all__ = ["SingleCPURuntime"]
 class SingleCPURuntime(CuCCRuntime):
     """CuPBoP-style execution of a migrated GPU program on one CPU node."""
 
-    def __init__(
-        self,
-        node_spec: CPUSpec,
-        params: ModelParams = DEFAULT_PARAMS,
-        simd_enabled: bool = True,
-        bounds_check: bool = True,
-        sanitize: bool = False,
-        trace: bool | Tracer = False,
-    ):
+    def __init__(self, node_spec: CPUSpec, **runtime_options):
+        """``runtime_options`` forward to :class:`CuCCRuntime`."""
         cluster = Cluster(
             node_spec, 1, network=INFINIBAND_100G,
             name=f"single {node_spec.name}",
         )
-        super().__init__(
-            cluster,
-            params=params,
-            simd_enabled=simd_enabled,
-            bounds_check=bounds_check,
-            sanitize=sanitize,
-            trace=trace,
-        )
+        super().__init__(cluster, **runtime_options)

@@ -8,15 +8,12 @@ experiment run, including benchmarks), and returns the simulated time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.gpu_exec import GPUDevice
 from repro.baselines.pgas import PGASRuntime
-from repro.cluster.cluster import Cluster, make_cluster
+from repro.cluster.cluster import Cluster
 from repro.hw.gpu import GPUSpec
 from repro.hw.perfmodel import DEFAULT_PARAMS, ModelParams
-from repro.runtime.cucc import CuCCRuntime
-from repro.runtime.program import LaunchRecord
+from repro.runtime.cucc import CuCCResult, CuCCRuntime
 from repro.workloads.base import WorkloadSpec
 
 __all__ = [
@@ -29,99 +26,40 @@ __all__ = [
 ]
 
 
-@dataclass
-class CuCCResult:
-    """Outcome of one CuCC cluster run."""
-
-    time: float
-    record: LaunchRecord
-    runtime: CuCCRuntime
-
-    @property
-    def network_fraction(self) -> float:
-        return self.record.phases.network_fraction
-
-
 def run_on_cucc(
     spec: WorkloadSpec,
     cluster: Cluster,
-    params: ModelParams = DEFAULT_PARAMS,
-    simd_enabled: bool = True,
+    *,
     verify: bool = True,
-    faithful_replication: bool = False,
-    fault_plan=None,
-    recovery=None,
-    trace=False,
-    profile=False,
-    drift=False,
-    checkpoint=None,
-    drift_guard=None,
     app_meta=None,
-    backend: str = "auto",
-    jit_cache=None,
-    netflow=False,
+    **runtime_options,
 ) -> CuCCResult:
     """Run a workload through the three-phase CuCC runtime.
 
-    ``fault_plan``/``recovery`` (see :mod:`repro.cluster.faults` and
-    :class:`~repro.runtime.cucc.RecoveryPolicy`) execute the launch under
-    fault injection; verification then checks the *recovered* output.
-    ``trace`` (a bool or a :class:`~repro.obs.tracer.Tracer`) forwards to
-    the runtime; the spans are reachable via ``result.runtime.tracer``.
-    ``profile`` (a bool or a :class:`~repro.obs.profiler.Profiler`) and
-    ``drift`` likewise forward; the per-line profile is reachable via
-    ``result.runtime.profiler``.  ``checkpoint`` (a
-    :class:`~repro.ops.policy.CheckpointPolicy`) and ``drift_guard`` (a
-    :class:`~repro.ops.guard.DriftGuardPolicy`) arm the elastic
-    operations layer; ``app_meta`` is stored verbatim in every durable
+    ``runtime_options`` forward to :class:`~repro.runtime.cucc.CuCCRuntime`
+    (every option it takes: fault injection, observers, durable
+    checkpoints, backend ...; an unknown name is its ``TypeError``).  The
+    harness default differs in one place: ``faithful_replication=False``
+    — replicated work runs once and is copied, which is functionally
+    identical and much faster at large node counts.  The observers are
+    reachable on ``result.runtime`` (``.tracer``, ``.profiler``,
+    ``.netflow``).  ``app_meta`` is stored verbatim in every durable
     checkpoint (the workload identity the resume side validates).
-    ``backend``/``jit_cache`` select the kernel-execution backend (the
-    tree-walking interpreter, the JIT fast path, or auto-fallback) —
-    modeled times and buffers are bit-identical either way.
-    ``netflow`` (a bool or a :class:`~repro.obs.netflow.NetFlowLedger`)
-    attaches the per-link flow ledger, reachable via
-    ``result.runtime.netflow``.
+    ``verify=False`` skips only the comparison against the NumPy
+    reference; the outputs are always downloaded with the
+    replica-consistency check.
     """
-    rt = CuCCRuntime(
-        cluster,
-        params=params,
-        simd_enabled=simd_enabled,
-        faithful_replication=faithful_replication,
-        fault_plan=fault_plan,
-        recovery=recovery,
-        trace=trace,
-        profile=profile,
-        drift=drift,
-        checkpoint=checkpoint,
-        drift_guard=drift_guard,
-        backend=backend,
-        jit_cache=jit_cache,
-        netflow=netflow,
-    )
+    runtime_options.setdefault("faithful_replication", False)
+    rt = CuCCRuntime(cluster, **runtime_options)
     if app_meta and rt.ops is not None:
         rt.ops.app.update(app_meta)
-    for name, arr in spec.arrays.items():
-        rt.memory.alloc(name, arr.size, arr.dtype)
-        rt.memory.memcpy_h2d(name, arr)
-    compiled = rt.compile(spec.kernel)
-    rec = rt.launch(compiled, spec.grid, spec.block, spec.args())
-    if verify:
-        results = {
-            o: rt.memory.memcpy_d2h(o, check_consistency=True)
-            for o in spec.outputs
-        }
-        spec.verify(results)
-    return CuCCResult(time=rec.time, record=rec, runtime=rt)
+    rt.upload(spec)
+    return rt.run(spec, verify=verify)
 
 
-def run_on_gpu(
-    spec: WorkloadSpec,
-    gpu: GPUSpec,
-    params: ModelParams = DEFAULT_PARAMS,
-    verify: bool = True,
-) -> float:
-    """Run the original GPU program on the GPU model; returns time."""
-    dev = GPUDevice(gpu, params=params)
+def _run_on_device(dev, spec: WorkloadSpec, verify: bool) -> float:
+    """The same host side on a device that exposes the CUDA memory API
+    directly (the GPU model, the PGAS runtime); returns time."""
     for name, arr in spec.arrays.items():
         dev.alloc(name, arr.size, arr.dtype)
         dev.memcpy_h2d(name, arr)
@@ -131,6 +69,16 @@ def run_on_gpu(
     return rec.time
 
 
+def run_on_gpu(
+    spec: WorkloadSpec,
+    gpu: GPUSpec,
+    params: ModelParams = DEFAULT_PARAMS,
+    verify: bool = True,
+) -> float:
+    """Run the original GPU program on the GPU model; returns time."""
+    return _run_on_device(GPUDevice(gpu, params=params), spec, verify)
+
+
 def run_on_pgas(
     spec: WorkloadSpec,
     cluster: Cluster,
@@ -138,14 +86,7 @@ def run_on_pgas(
     verify: bool = True,
 ) -> float:
     """Run the PGAS migration of the workload; returns time."""
-    rt = PGASRuntime(cluster, params=params)
-    for name, arr in spec.arrays.items():
-        rt.alloc(name, arr.size, arr.dtype)
-        rt.memcpy_h2d(name, arr)
-    rec = rt.launch(spec.kernel, spec.grid, spec.block, spec.args())
-    if verify:
-        spec.verify({o: rt.memcpy_d2h(o) for o in spec.outputs})
-    return rec.time
+    return _run_on_device(PGASRuntime(cluster, params=params), spec, verify)
 
 
 def geomean(values) -> float:

@@ -75,6 +75,52 @@ def _ensure_parent(path: str) -> None:
     Path(path).expanduser().resolve().parent.mkdir(parents=True, exist_ok=True)
 
 
+def _write_exports(
+    args: argparse.Namespace, tracer, netflow, trace_hint: str,
+    netflow_tag: str = "", profile_report: str | None = None,
+) -> None:
+    """The export epilogue ``run`` and ``serve`` share: ``--trace``,
+    ``--profile`` (``run`` only: the rendered report, when asked for),
+    ``--netflow``, ``--metrics`` and ``--metrics-json``, in that order."""
+    from repro.obs.metrics import METRICS  # loaded by every run already
+
+    if args.trace:
+        from repro.obs.export import write_chrome_trace
+
+        _ensure_parent(args.trace)
+        path = write_chrome_trace(tracer, args.trace)
+        print(f"wrote {len(tracer)} spans to {path} "
+              f"({trace_hint.format(path=path)})")
+    if profile_report is not None:
+        _ensure_parent(args.profile)
+        with open(args.profile, "w") as f:
+            f.write(profile_report + "\n")
+        print(f"wrote per-line profile to {args.profile}")
+    if args.netflow:
+        _ensure_parent(args.netflow)
+        path = netflow.dump(args.netflow)
+        print(f"wrote netflow ledger ({len(netflow)} "
+              f"collective(s){netflow_tag}) to {path} (render with "
+              f"'python -m repro netview {path}')")
+    if args.metrics:
+        print()
+        print(METRICS.render())
+    if args.metrics_json:
+        _ensure_parent(args.metrics_json)
+        with open(args.metrics_json, "w") as f:
+            f.write(METRICS.snapshot_json())
+        print(f"wrote metrics JSON to {args.metrics_json}")
+
+
+def _profile_report(rt) -> str:
+    """The per-line hotspot report of a profiled runtime."""
+    return rt.profiler.report(
+        spec=rt.cluster.nodes[0].spec,
+        simd_enabled=rt.simd_enabled,
+        params=rt.params,
+    )
+
+
 def _find_workload(name: str):
     """Case-insensitive workload lookup over the full catalog."""
     from repro.workloads import EXTRA_WORKLOADS, PERF_WORKLOADS
@@ -265,42 +311,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(ev.describe())
         survivors = res.runtime.cluster.num_nodes
         print(f"verified on all {survivors} node replicas")
-        if args.trace:
-            from repro.obs.export import write_chrome_trace
-
-            _ensure_parent(args.trace)
-            path = write_chrome_trace(res.runtime.tracer, args.trace)
-            n_spans = len(res.runtime.tracer)
-            print(f"wrote {n_spans} spans to {path} (load in Perfetto or "
-                  f"inspect with 'python -m repro report {path}')")
-        if args.profile:
-            report = res.runtime.profiler.report(
-                spec=res.runtime.cluster.nodes[0].spec,
-                simd_enabled=res.runtime.simd_enabled,
-                params=res.runtime.params,
-            )
-            _ensure_parent(args.profile)
-            with open(args.profile, "w") as f:
-                f.write(report + "\n")
-            print(f"wrote per-line profile to {args.profile}")
-        if args.netflow:
-            _ensure_parent(args.netflow)
-            path = res.runtime.netflow.dump(args.netflow)
-            print(f"wrote netflow ledger "
-                  f"({len(res.runtime.netflow)} collective(s)) to {path} "
-                  f"(render with 'python -m repro netview {path}')")
-        if args.metrics:
-            from repro.obs.metrics import METRICS
-
-            print()
-            print(METRICS.render())
-        if args.metrics_json:
-            from repro.obs.metrics import METRICS
-
-            _ensure_parent(args.metrics_json)
-            with open(args.metrics_json, "w") as f:
-                f.write(METRICS.snapshot_json())
-            print(f"wrote metrics JSON to {args.metrics_json}")
+        _write_exports(
+            args, res.runtime.tracer, res.runtime.netflow,
+            "load in Perfetto or inspect with "
+            "'python -m repro report {path}'",
+            profile_report=(
+                _profile_report(res.runtime) if args.profile else None
+            ),
+        )
     elif args.platform == "pgas":
         cluster = make_cluster(args.cluster, args.nodes)
         t = run_on_pgas(spec, cluster)
@@ -328,11 +346,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     cluster = make_cluster(args.cluster, args.nodes, topology=args.topology)
     res = run_on_cucc(spec, cluster, profile=True)
     rt = res.runtime
-    report = rt.profiler.report(
-        spec=rt.cluster.nodes[0].spec,
-        simd_enabled=rt.simd_enabled,
-        params=rt.params,
-    )
+    report = _profile_report(rt)
     print(f"workload {spec.name} ({args.size}) on {args.nodes} nodes, "
           f"time {res.time * 1e3:.4f} ms")
     print()
@@ -729,31 +743,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"cache_hits={server.jit_cache.hits} "
               f"cache_rejects={server.jit_cache.rejected}; "
               f"saved {server.jit_cache!r}")
-    if args.trace:
-        from repro.obs.export import write_chrome_trace
-
-        _ensure_parent(args.trace)
-        path = write_chrome_trace(server.tracer, args.trace)
-        print(f"wrote {len(server.tracer)} spans to {path} (job spans "
-              f"carry job_id; ranks are physical pool node ids)")
-    if args.netflow:
-        _ensure_parent(args.netflow)
-        path = report.netflow.dump(args.netflow)
-        print(f"wrote netflow ledger ({len(report.netflow)} "
-              f"collective(s), attributed by job_id) to {path} (render "
-              f"with 'python -m repro netview {path}')")
-    if args.metrics:
-        from repro.obs.metrics import METRICS
-
-        print()
-        print(METRICS.render())
-    if args.metrics_json:
-        from repro.obs.metrics import METRICS
-
-        _ensure_parent(args.metrics_json)
-        with open(args.metrics_json, "w") as f:
-            f.write(METRICS.snapshot_json())
-        print(f"wrote metrics JSON to {args.metrics_json}")
+    _write_exports(
+        args, server.tracer, report.netflow,
+        "job spans carry job_id; ranks are physical pool node ids",
+        netflow_tag=", attributed by job_id",
+    )
     if args.check_serial:
         serial = serve_serially(requests, ServeConfig(
             nodes=args.nodes, cluster=args.cluster, topology=args.topology,
@@ -824,6 +818,37 @@ def _read_source(path: str) -> str:
         raise ReproError(f"cannot read {path!r}: {e}") from e
 
 
+#: flags several subcommands take, declared once; :func:`_shared`
+#: attaches them (a subcommand may override the default or the help)
+_SHARED_FLAGS = {
+    "--cluster": dict(default="simd-focused",
+                      choices=("simd-focused", "thread-focused")),
+    "--nodes": dict(type=int, default=4),
+    "--size": dict(default="small", choices=("small", "paper")),
+    "--seed": dict(type=int, default=0),
+    "--topology": dict(
+        default=None, metavar="KIND",
+        help="network topology: flat, fat-tree[:K], ring or torus "
+             "(default: flat alpha-beta fabric; fat-tree:K forces K nodes "
+             "per leaf switch)"),
+    "--backend": dict(default="auto", choices=("interp", "jit", "auto")),
+    "--jit-cache": dict(metavar="PATH", default=None),
+    "--tuning": dict(metavar="PATH", default=None),
+    "--metrics": dict(
+        action="store_true",
+        help="print the metrics-registry snapshot after the run"),
+    "--metrics-json": dict(
+        metavar="PATH", default=None,
+        help="write the metrics-registry snapshot as deterministic JSON "
+             "(sorted names/labels) to PATH"),
+}
+
+
+def _shared(p: argparse.ArgumentParser, *flags: str, **override) -> None:
+    for flag in flags:
+        p.add_argument(flag, **{**_SHARED_FLAGS[flag], **override})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -848,11 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", help="e.g. FIR, KMeans, BinomialOption")
     p.add_argument("--platform", default="cucc",
                    choices=("cucc", "pgas", "a100", "v100"))
-    p.add_argument("--cluster", default="simd-focused",
-                   choices=("simd-focused", "thread-focused"))
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--size", default="small", choices=("small", "paper"))
-    p.add_argument("--seed", type=int, default=0)
+    _shared(p, "--cluster", "--nodes", "--size", "--seed")
     p.add_argument(
         "--faults", metavar="SPEC", default=None,
         help="inject faults (cucc only), e.g. "
@@ -860,13 +881,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed for the fault plan's random choices")
-    p.add_argument("--topology", default=None, metavar="KIND",
-                   help="network topology: flat, fat-tree[:K], ring or "
-                        "torus (default: flat alpha-beta fabric; "
-                        "fat-tree:K forces K nodes per leaf switch)")
-    p.add_argument("--tuning", metavar="PATH", default=None,
-                   help="JSON tuning cache consulted by the 'auto' "
-                        "Allgather (written by 'repro tune')")
+    _shared(p, "--topology")
+    _shared(p, "--tuning",
+            help="JSON tuning cache consulted by the 'auto' Allgather "
+                 "(written by 'repro tune')")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="record spans (cucc only) and export Chrome "
                         "trace-event JSON (Perfetto / chrome://tracing)")
@@ -874,11 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record the per-link network flow ledger (cucc "
                         "only) and write its JSON document to PATH "
                         "(render with 'repro netview')")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the metrics-registry snapshot after the run")
-    p.add_argument("--metrics-json", metavar="PATH", default=None,
-                   help="write the metrics-registry snapshot as "
-                        "deterministic JSON (sorted names/labels) to PATH")
+    _shared(p, "--metrics", "--metrics-json")
     p.add_argument("--profile", metavar="PATH", default=None,
                    help="attribute op counts per kernel source line (cucc "
                         "only) and write the hotspot report to PATH")
@@ -915,16 +929,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arm the drift breaker (cucc only): refuse "
                         "launches after repeated |relative model error| "
                         "above BOUND (implies --drift)")
-    p.add_argument("--backend", default="auto",
-                   choices=("interp", "jit", "auto"),
-                   help="kernel-execution backend (cucc only): the "
-                        "tree-walking interpreter, the compiled JIT fast "
-                        "path, or auto-fallback (default); outputs and "
-                        "simulated times are bit-identical either way")
-    p.add_argument("--jit-cache", metavar="PATH", default=None,
-                   help="persistent JIT compile cache consulted before "
-                        "codegen and updated after (like the tuning "
-                        "cache; integrity-checked)")
+    _shared(p, "--backend",
+            help="kernel-execution backend (cucc only): the tree-walking "
+                 "interpreter, the compiled JIT fast path, or "
+                 "auto-fallback (default); outputs and simulated times "
+                 "are bit-identical either way")
+    _shared(p, "--jit-cache",
+            help="persistent JIT compile cache consulted before codegen "
+                 "and updated after (like the tuning cache; "
+                 "integrity-checked)")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
@@ -940,15 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("workload", help="e.g. FIR, KMeans, BinomialOption")
-    p.add_argument("--cluster", default="simd-focused",
-                   choices=("simd-focused", "thread-focused"))
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--size", default="small", choices=("small", "paper"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--topology", default=None, metavar="KIND",
-                   help="network topology: flat, fat-tree[:K], ring or "
-                        "torus (default: flat alpha-beta fabric; "
-                        "fat-tree:K forces K nodes per leaf switch)")
+    _shared(p, "--cluster", "--nodes", "--size", "--seed", "--topology")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="also write the report to a file")
     p.set_defaults(fn=_cmd_profile)
@@ -1013,13 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
             "the 'auto' algorithm resolution hot-load."
         ),
     )
-    p.add_argument("--cluster", default="simd-focused",
-                   choices=("simd-focused", "thread-focused"))
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--topology", default=None, metavar="KIND",
-                   help="network topology: flat, fat-tree[:K], ring or "
-                        "torus (default: flat alpha-beta fabric; "
-                        "fat-tree:K forces K nodes per leaf switch)")
+    _shared(p, "--cluster", "--nodes", "--topology")
     p.add_argument("--payload", action="append", metavar="BYTES",
                    help="total Allgather bytes to tune (repeatable; "
                         "default: 1 KiB .. 4 MiB sweep)")
@@ -1050,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--violations", action="store_true",
                    help="run the seeded-violation kernels; exit 0 only if "
                         "every hazard is caught (sanitizer self-check)")
-    p.add_argument("--size", default="small", choices=("small", "paper"))
+    _shared(p, "--size")
     p.set_defaults(fn=_cmd_sanitize)
 
     p = sub.add_parser(
@@ -1095,8 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload", nargs="*",
                    help="workload name(s); default: the whole zoo")
-    p.add_argument("--size", default="small", choices=("small", "paper"))
-    p.add_argument("--seed", type=int, default=0)
+    _shared(p, "--size", "--seed")
     p.add_argument("--cache", metavar="PATH", default=None,
                    help="persistent compile-cache file to consult and "
                         "update (e.g. .repro-jit-cache.json)")
@@ -1132,36 +1130,33 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="synthesize arrivals for this many simulated "
                         "seconds instead of a fixed --jobs count")
-    p.add_argument("--nodes", type=int, default=8,
-                   help="service pool width (default: %(default)s)")
+    _shared(p, "--nodes", default=8,
+            help="service pool width (default: %(default)s)")
     p.add_argument("--job-nodes", action="append", type=int, metavar="N",
                    help="node width(s) jobs draw from, repeatable "
                         "(default: every job asks for 2)")
-    p.add_argument("--size", default="small", choices=("small", "paper"))
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for arrivals, mix draws and per-job data")
-    p.add_argument("--cluster", default="simd-focused",
-                   choices=("simd-focused", "thread-focused"))
-    p.add_argument("--topology", default=None, metavar="KIND",
-                   help="per-job network topology: flat, fat-tree[:K], "
-                        "ring or torus")
+    _shared(p, "--size")
+    _shared(p, "--seed",
+            help="seed for arrivals, mix draws and per-job data")
+    _shared(p, "--cluster")
+    _shared(p, "--topology",
+            help="per-job network topology: flat, fat-tree[:K], ring or "
+                 "torus")
     p.add_argument("--no-pipeline", action="store_true",
                    help="disable Allgather-window pipelining (jobs still "
                         "run concurrently on disjoint subsets)")
-    p.add_argument("--backend", default="auto",
-                   choices=("interp", "jit", "auto"),
-                   help="kernel-execution backend for every job")
+    _shared(p, "--backend", help="kernel-execution backend for every job")
     p.add_argument("--faults", metavar="SPEC", default=None,
                    help="fault plan injected into selected jobs, e.g. "
                         "'crash:rank=1,phase=allgather'")
     p.add_argument("--fault-every", type=int, default=0, metavar="K",
                    help="inject --faults into every Kth job (0 = none)")
-    p.add_argument("--tuning", metavar="PATH", default=None,
-                   help="persistent tuning cache shared by all jobs")
-    p.add_argument("--jit-cache", metavar="PATH", default=None,
-                   help="persistent JIT compile cache shared by all jobs "
-                        "(consulted first, saved after; warm caches serve "
-                        "repeat jobs with zero recompiles)")
+    _shared(p, "--tuning",
+            help="persistent tuning cache shared by all jobs")
+    _shared(p, "--jit-cache",
+            help="persistent JIT compile cache shared by all jobs "
+                 "(consulted first, saved after; warm caches serve repeat "
+                 "jobs with zero recompiles)")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="export a Chrome trace of the whole service run; "
                         "every span carries its job_id")
@@ -1169,11 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record the per-link flow ledger across all jobs "
                         "(traffic attributed by job_id, links by pool "
                         "node id) and write its JSON document to PATH")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the metrics-registry snapshot after the run")
-    p.add_argument("--metrics-json", metavar="PATH", default=None,
-                   help="write the metrics-registry snapshot as "
-                        "deterministic JSON (sorted names/labels) to PATH")
+    _shared(p, "--metrics", "--metrics-json")
     p.add_argument("--check-serial", action="store_true",
                    help="rerun the same jobs serially and exit 1 unless "
                         "every job is bit-identical")

@@ -73,7 +73,14 @@ from repro.ir.stmt import (
 from repro.ir.types import AddressSpace, DType, PointerType, common_type
 from repro.ir.visitor import contains, iter_stmts
 
-__all__ = ["BlockExecutor", "run_grid", "span_eligible", "apply_atomic_op"]
+__all__ = [
+    "BlockExecutor",
+    "check_backend",
+    "make_executor",
+    "run_grid",
+    "span_eligible",
+    "apply_atomic_op",
+]
 
 #: Safety cap on data-dependent loop iterations per loop execution.
 MAX_LOOP_ITERS = 50_000_000
@@ -1044,6 +1051,54 @@ class BlockExecutor:
         return mask
 
 
+def check_backend(backend: str, hooked: bool) -> None:
+    """The backend rule: the name must be known, and ``"jit"`` cannot
+    carry interpreter-shaped hooks (``hooked``: a sanitizer or profiler
+    is attached)."""
+    if backend not in ("interp", "jit", "auto"):
+        raise LaunchError(
+            f"unknown backend {backend!r}; expected 'interp', 'jit' or 'auto'"
+        )
+    if backend == "jit" and hooked:
+        raise LaunchError(
+            "backend='jit' does not support sanitize/profile hooks; "
+            "they observe the tree-walking interpreter"
+        )
+
+
+def make_executor(
+    kernel: Kernel,
+    config: LaunchConfig,
+    args: dict[str, object],
+    counters: OpCounters | None = None,
+    bounds_check: bool = True,
+    sanitize: object = False,
+    profile: object = None,
+    backend: str = "interp",
+    jit_cache: object = None,
+) -> BlockExecutor:
+    """Build the executor ``backend`` selects for one launch: the JIT
+    tier unless the backend is ``"interp"``, a hook is attached, or (under
+    ``"auto"``) the codegen declines the kernel; else the interpreter."""
+    hooked = bool(sanitize or profile)
+    check_backend(backend, hooked)
+    if backend != "interp" and not hooked:
+        from repro.interp.jit import JITBlockExecutor, JITUnsupported
+
+        try:
+            return JITBlockExecutor(
+                kernel, config, args, counters, bounds_check=bounds_check,
+                cache=jit_cache,
+            )
+        except JITUnsupported:
+            if backend == "jit":
+                raise
+    return BlockExecutor(
+        kernel, config, args, counters, bounds_check=bounds_check,
+        sanitize=sanitize, profile=profile,
+    )
+
+
 def run_grid(
     kernel: Kernel,
     config: LaunchConfig,
@@ -1064,39 +1119,17 @@ def run_grid(
     (pass ``True`` or a shared ``DynamicSanitizer``); findings accumulate
     on ``executor.sanitizer.report``.  ``profile`` attributes counts per
     source line (a :class:`~repro.obs.profiler.Profiler` or a line sink;
-    see :class:`BlockExecutor`).  ``backend`` selects the execution tier:
-    ``"interp"`` (this module's tree-walker, the reference), ``"jit"``
-    (the :mod:`repro.interp.jit` codegen tier, bit-identical by
-    contract), or ``"auto"`` (JIT when the kernel compiles and no
-    interpreter-shaped hook — sanitizer, profiler — is attached).
+    see :class:`BlockExecutor`).  ``backend`` selects the execution tier
+    (see :func:`make_executor`): ``"interp"`` (this module's tree-walker,
+    the reference), ``"jit"`` (the :mod:`repro.interp.jit` codegen tier,
+    bit-identical by contract), or ``"auto"`` (JIT when the kernel
+    compiles and no interpreter-shaped hook — sanitizer, profiler — is
+    attached).
     """
-    if backend not in ("interp", "jit", "auto"):
-        raise LaunchError(
-            f"unknown backend {backend!r}; expected 'interp', 'jit' or 'auto'"
-        )
-    ex: BlockExecutor | None = None
-    if backend != "interp":
-        if sanitize or profile:
-            if backend == "jit":
-                raise LaunchError(
-                    "backend='jit' does not support sanitize/profile hooks; "
-                    "they observe the tree-walking interpreter"
-                )
-        else:
-            from repro.interp.jit import JITBlockExecutor, JITUnsupported
-
-            try:
-                ex = JITBlockExecutor(
-                    kernel, config, args, counters, bounds_check=bounds_check
-                )
-            except JITUnsupported:
-                if backend == "jit":
-                    raise
-    if ex is None:
-        ex = BlockExecutor(
-            kernel, config, args, counters, bounds_check=bounds_check,
-            sanitize=sanitize, profile=profile,
-        )
+    ex = make_executor(
+        kernel, config, args, counters, bounds_check=bounds_check,
+        sanitize=sanitize, profile=profile, backend=backend,
+    )
     ids = range(config.num_blocks) if block_ids is None else block_ids
     ex.run_blocks(ids, span=span)
     return ex

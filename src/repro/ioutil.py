@@ -91,9 +91,13 @@ class JsonEntryStore:
         return target
 
     @classmethod
-    def load(cls, path: str | Path):
+    def load(cls, path: "str | Path | JsonEntryStore"):
         """Read a store file; a missing file yields an empty store bound
-        to the same path (so a later :meth:`save` creates it)."""
+        to the same path (so a later :meth:`save` creates it).  A store
+        passes through as-is, so every ``tuning=`` / ``jit_cache=``
+        option takes an instance or a path."""
+        if isinstance(path, cls):
+            return path
         p = Path(path)
         if not p.exists():
             return cls(path=p)

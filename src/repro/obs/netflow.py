@@ -219,6 +219,16 @@ class NetFlowLedger:
         self._raw: list[tuple] = []
         self._cache = None
 
+    @classmethod
+    def from_option(cls, netflow) -> "NetFlowLedger | None":
+        """The ``netflow=`` shorthand: ``None``/``False`` is off, a
+        ledger is adopted as-is, anything else builds a fresh one.  The
+        off test is by identity, not truthiness: a fresh (empty) ledger
+        is falsy but must still be attached."""
+        if netflow is None or netflow is False:
+            return None
+        return netflow if isinstance(netflow, cls) else cls()
+
     def __len__(self) -> int:
         return len(self._raw)
 

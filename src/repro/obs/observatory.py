@@ -99,6 +99,12 @@ class Observatory:
         self._rings: dict[str, deque] = {}
         self._seq = 0
 
+    @classmethod
+    def from_option(cls, observatory) -> "Observatory":
+        """The ``observatory=`` shorthand: an observatory is adopted
+        as-is, anything else builds a fresh one."""
+        return observatory if isinstance(observatory, cls) else cls()
+
     def reset(self, pool_nodes: int) -> None:
         """Start a fresh run over a ``pool_nodes``-wide pool."""
         self.pool_nodes = pool_nodes

@@ -263,6 +263,12 @@ class Profiler:
     def __init__(self):
         self.profiles: dict[str, KernelProfile] = {}
 
+    @classmethod
+    def from_option(cls, profile) -> "Profiler":
+        """The ``profile=`` shorthand: a profiler is adopted as-is
+        (shared across runtimes), anything else builds a fresh one."""
+        return profile if isinstance(profile, cls) else cls()
+
     def ensure(self, kernel: Kernel, vectorized: bool | None = None) -> KernelProfile:
         prof = self.profiles.get(kernel.name)
         if prof is None:

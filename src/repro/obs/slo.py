@@ -75,14 +75,17 @@ class SLOPolicy:
             )
 
     @classmethod
-    def parse(cls, spec: str) -> "SLOPolicy":
+    def parse(cls, spec: "str | SLOPolicy") -> "SLOPolicy":
         """Parse a CLI spec like
-        ``"wait<=2e-5,latency<=1e-4,utilization>=0.5,window=8,budget=0.25"``.
+        ``"wait<=2e-5,latency<=1e-4,utilization>=0.5,window=8,budget=0.25"``
+        (a policy passes through as-is).
 
         ``wait``/``latency`` take ``<=`` ceilings (seconds),
         ``utilization`` (alias ``util``) a ``>=`` floor; ``window``,
         ``budget`` and ``burn`` tune the burn-rate accounting.
         """
+        if isinstance(spec, cls):
+            return spec
         kw: dict = {}
         for raw in spec.split(","):
             token = raw.strip()

@@ -108,6 +108,16 @@ class Tracer:
         self.spans: list[Span] = []
         self._stack: list[Span] = []
 
+    @classmethod
+    def from_option(cls, trace) -> "Tracer":
+        """The ``trace=`` shorthand every runtime and the server accept:
+        a tracer is adopted as-is (shared across runtimes), any other
+        truthy value builds a fresh one, a falsy one attaches the
+        disabled :data:`NULL_TRACER`."""
+        if isinstance(trace, cls):
+            return trace
+        return cls() if trace else NULL_TRACER
+
     # -- recording -----------------------------------------------------
     def begin(
         self, name: str, kind: str, t0: float, rank: int | None = None,

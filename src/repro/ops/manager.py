@@ -14,9 +14,9 @@ container format):
 * the cluster: hardware/network specs, topology, born width, per-node
   identity (rank, born rank), simulated clocks, straggler multipliers,
   cumulative communication accounting and the tuning cache;
-* the runtime configuration (model params, recovery policy, feature
-  flags) — a resume reconstructs an equivalent runtime without the
-  caller re-stating anything;
+* the runtime configuration (:data:`repro.runtime.cucc.STATE_OPTIONS`:
+  model params, recovery policy, feature flags) — a resume reconstructs
+  an equivalent runtime without the caller re-stating anything;
 * buffer state per *born rank* (replicas legitimately diverge between
   the partial phase and the Allgather);
 * the fault injector's complete mutable state (cursors, fired set, RNG
@@ -34,6 +34,7 @@ checkpointed run's PhaseTimes bit-identical to an uncheckpointed one.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from pathlib import Path
 
 from repro.cluster.faults import event_to_dict
@@ -42,6 +43,7 @@ from repro.obs.metrics import METRICS
 from repro.obs.tracer import SpanKind
 from repro.ops.checkpoint import CKPT_SUFFIX, LATEST_NAME, write_checkpoint
 from repro.ops.policy import CheckpointPolicy
+from repro.runtime.cucc import STATE_OPTIONS
 
 __all__ = [
     "CheckpointManager",
@@ -115,15 +117,11 @@ def capture_meta(
             ],
         },
         "runtime": {
-            "params": dataclasses.asdict(runtime.params),
-            "recovery": dataclasses.asdict(runtime.recovery),
-            "simd_enabled": runtime.simd_enabled,
-            "bounds_check": runtime.bounds_check,
-            "faithful_replication": runtime.faithful_replication,
-            "sanitize": runtime.sanitize,
-            "allgather_algo": runtime.allgather_algo,
-            "drift": runtime.drift,
-            "backend": runtime.backend,
+            name: (
+                dataclasses.asdict(getattr(runtime, name))
+                if cls else getattr(runtime, name)
+            )
+            for name, cls in STATE_OPTIONS.items()
         },
         "memory": {
             "buffers": {
@@ -183,7 +181,10 @@ class CheckpointManager:
     """
 
     def __init__(self, runtime, policy: CheckpointPolicy):
-        self.runtime = runtime
+        # weak: the runtime owns this manager (``runtime.ops``); a strong
+        # back-reference is a cycle that keeps every node replica of a
+        # finished run alive until a cyclic GC pass happens to run
+        self.runtime = weakref.proxy(runtime)
         self.policy = policy
         #: caller-supplied context stored verbatim in every checkpoint
         #: (the CLI records the workload name/size so a resume can refuse

@@ -35,11 +35,11 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.faults import FaultInjector, event_from_dict
 from repro.cluster.topology import make_topology
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, LaunchError
 from repro.hw.cpu import CPUSpec
-from repro.hw.perfmodel import ModelParams
 from repro.hw.specs import NetworkSpec
 from repro.interp.counters import OpCounters
+from repro.interp.machine import check_backend
 from repro.ops.checkpoint import read_checkpoint
 from repro.ops.manager import PENDING_RANK
 from repro.runtime.memory_manager import Checkpoint
@@ -183,33 +183,32 @@ def resume_runtime(
     movement), the interrupted launch resumes mid-flight, and later
     launches run normally.
     """
-    from repro.runtime.cucc import CuCCRuntime, RecoveryPolicy
+    from repro.runtime.cucc import STATE_OPTIONS, CuCCRuntime
 
     meta, data = read_checkpoint(path)
     cluster = _rebuild_cluster(meta["cluster"], path)
     r = meta["runtime"]
+    options = {
+        name: cls(**r[name]) if cls else r[name]
+        for name, cls in STATE_OPTIONS.items()
+        if name in r
+    }
     if backend is None:
-        backend = r.get("backend", "auto")
-        if backend == "jit" and (profile or r["sanitize"]):
+        backend = options.get("backend", "auto")
+        try:
+            check_backend(backend, hooked=bool(profile or options["sanitize"]))
+        except LaunchError:
             # a recorded hard-jit backend cannot carry profile/sanitize
-            # hooks (they observe the interpreter); auto keeps the run
-            # going — bit-identical either way
+            # hooks; auto keeps the run going — bit-identical either way
             backend = "auto"
+    options["backend"] = backend
     rt = CuCCRuntime(
         cluster,
-        params=ModelParams(**r["params"]),
-        simd_enabled=r["simd_enabled"],
-        bounds_check=r["bounds_check"],
-        faithful_replication=r["faithful_replication"],
-        recovery=RecoveryPolicy(**r["recovery"]),
-        sanitize=r["sanitize"],
-        allgather_algo=r["allgather_algo"],
+        **options,
         trace=trace,
         profile=profile,
-        drift=r["drift"],
         checkpoint=checkpoint,
         drift_guard=drift_guard,
-        backend=backend,
         jit_cache=jit_cache,
     )
     inj_state = meta["injector"]
@@ -253,8 +252,6 @@ def resume_on_cucc(spec, path, verify=True, **kwargs):
     only the kernel is recompiled and the launch sequence replayed.
     ``kwargs`` forward to :func:`resume_runtime`.
     """
-    from repro.bench.harness import CuCCResult
-
     rt = resume_runtime(path, **kwargs)
     stored = rt._resume.app.get("workload")
     if stored is not None and stored != spec.name:
@@ -270,12 +267,4 @@ def resume_on_cucc(spec, path, verify=True, **kwargs):
             f"workload {spec.name!r}",
             path=str(path),
         )
-    compiled = rt.compile(spec.kernel)
-    rec = rt.launch(compiled, spec.grid, spec.block, spec.args())
-    if verify:
-        results = {
-            o: rt.memory.memcpy_d2h(o, check_consistency=True)
-            for o in spec.outputs
-        }
-        spec.verify(results)
-    return CuCCResult(time=rec.time, record=rec, runtime=rt)
+    return rt.run(spec, verify=verify)

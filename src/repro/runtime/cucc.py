@@ -64,10 +64,10 @@ from repro.errors import (
 from repro.hw.perfmodel import DEFAULT_PARAMS, ModelParams, cpu_node_time
 from repro.interp.counters import OpCounters
 from repro.interp.grid import LaunchConfig
-from repro.interp.machine import BlockExecutor
+from repro.interp.machine import check_backend, make_executor
 from repro.ir.stmt import Kernel
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import NULL_TRACER, SpanKind, Tracer
+from repro.obs.tracer import SpanKind, Tracer
 from repro.runtime.memory_manager import Checkpoint, ClusterMemory
 from repro.runtime.program import CompiledKernel, LaunchRecord, PhaseTimes
 from repro.transform.blockwrap import generate_kernel_module
@@ -75,7 +75,7 @@ from repro.transform.hostgen import generate_host_module
 from repro.transform.simplify import simplify_kernel
 from repro.transform.vectorize import analyze_vectorizability
 
-__all__ = ["CuCCRuntime", "RecoveryPolicy"]
+__all__ = ["CuCCRuntime", "CuCCResult", "RecoveryPolicy", "STATE_OPTIONS"]
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,38 @@ class _LaunchState:
         }
 
 
+#: The :class:`CuCCRuntime` options that affect simulated state: exactly
+#: what a durable checkpoint records and a resume restores (every other
+#: option is a process-local observer or cache).  A dataclass-valued
+#: option names the class its stored dict rebuilds.
+STATE_OPTIONS: dict[str, type | None] = {
+    "params": ModelParams,
+    "recovery": RecoveryPolicy,
+    "simd_enabled": None,
+    "bounds_check": None,
+    "faithful_replication": None,
+    "sanitize": None,
+    "allgather_algo": None,
+    "drift": None,
+    "backend": None,
+}
+
+
+@dataclass
+class CuCCResult:
+    """Outcome of one workload run (:meth:`CuCCRuntime.run`)."""
+
+    time: float
+    record: LaunchRecord
+    runtime: CuCCRuntime
+    #: the downloaded outputs (rank 0's replica, all replicas agreeing)
+    outputs: dict[str, object]
+
+    @property
+    def network_fraction(self) -> float:
+        return self.record.phases.network_fraction
+
+
 class CuCCRuntime:
     """Compile-and-launch interface over a simulated CPU cluster.
 
@@ -288,16 +320,7 @@ class CuCCRuntime:
         jit_cache: object = None,
         netflow: object = False,
     ):
-        if backend not in ("interp", "jit", "auto"):
-            raise LaunchError(
-                f"unknown backend {backend!r}; expected 'interp', 'jit' "
-                "or 'auto'"
-            )
-        if backend == "jit" and (sanitize or profile):
-            raise LaunchError(
-                "backend='jit' does not support sanitize/profile hooks; "
-                "they observe the tree-walking interpreter"
-            )
+        check_backend(backend, hooked=bool(sanitize or profile))
         self.backend = backend
         #: JIT compile cache (repro.interp.jit.CompileCache) or None;
         #: the import is deferred so an interpreter-only runtime never
@@ -306,11 +329,7 @@ class CuCCRuntime:
         if jit_cache is not None and backend != "interp":
             from repro.interp.jit import CompileCache
 
-            self.jit_cache = (
-                jit_cache
-                if isinstance(jit_cache, CompileCache)
-                else CompileCache.load(jit_cache)
-            )
+            self.jit_cache = CompileCache.load(jit_cache)
         self.cluster = cluster
         self.params = params
         self.simd_enabled = simd_enabled
@@ -324,16 +343,11 @@ class CuCCRuntime:
         if profile:
             from repro.obs.profiler import Profiler
 
-            self.profiler = (
-                profile if isinstance(profile, Profiler) else Profiler()
-            )
+            self.profiler = Profiler.from_option(profile)
             # cumulative counter-track state (Perfetto "C" samples)
             self._counter_cum = {"ops": 0.0, "bytes": 0.0}
         #: span tracer shared with the communicator and fault injector
-        self.tracer: Tracer = (
-            trace if isinstance(trace, Tracer)
-            else (Tracer() if trace else NULL_TRACER)
-        )
+        self.tracer: Tracer = Tracer.from_option(trace)
         #: Allgather algorithm for phase 2: a zoo member (see
         #: repro.cluster.collectives.ALLGATHER_ALGOS) or "auto" (default),
         #: which resolves through the cluster's tuning cache / topology
@@ -353,15 +367,10 @@ class CuCCRuntime:
         #: netflow off (the import is deferred so an unobserved runtime
         #: never loads repro.obs.netflow)
         self.netflow = None
-        # identity checks, not truthiness: a fresh (empty) ledger passed
-        # in by the serving layer is falsy but must still be attached
         if netflow is not None and netflow is not False:
             from repro.obs.netflow import NetFlowLedger
 
-            self.netflow = (
-                netflow if isinstance(netflow, NetFlowLedger)
-                else NetFlowLedger()
-            )
+            self.netflow = NetFlowLedger.from_option(netflow)
         cluster.comm.injector = self.injector
         cluster.comm.tracer = self.tracer
         if self.netflow is not None:
@@ -388,11 +397,40 @@ class CuCCRuntime:
         self._resume = None
 
     # ------------------------------------------------------------------
-    def compile(self, kernel: Kernel, simplify: bool = True) -> CompiledKernel:
+    # the host side of one workload: upload, then run
+    # ------------------------------------------------------------------
+    def upload(self, spec) -> None:
+        """Allocate the buffers of a
+        :class:`~repro.workloads.base.WorkloadSpec` on every node and
+        copy its inputs in."""
+        for name, arr in spec.arrays.items():
+            self.memory.alloc(name, arr.size, arr.dtype)
+            self.memory.memcpy_h2d(name, arr)
+
+    def run(self, spec, verify: bool = True) -> CuCCResult:
+        """Compile and launch the workload's kernel over the buffers
+        already on the cluster (uploaded, or restored by a resume), and
+        download every declared output, checking that all replicas
+        agree.  ``verify`` compares the outputs against the workload's
+        NumPy reference (raising on mismatch)."""
+        compiled = self.compile(spec.kernel)
+        record = self.launch(compiled, spec.grid, spec.block, spec.args())
+        outputs = {
+            o: self.memory.memcpy_d2h(o, check_consistency=True)
+            for o in spec.outputs
+        }
+        if verify:
+            spec.verify(outputs)
+        return CuCCResult(
+            time=record.time, record=record, runtime=self, outputs=outputs
+        )
+
+    # ------------------------------------------------------------------
+    def compile(self, kernel: Kernel) -> CompiledKernel:
         """Run the CuCC compiler pipeline on a kernel IR.
 
-        ``simplify`` applies the exact constant-folding/identity pass
-        before analysis and execution (semantics-preserving; see
+        The exact constant-folding/identity pass runs before analysis
+        and execution (semantics-preserving; see
         :mod:`repro.transform.simplify`).  With ``sanitize`` on, the
         static race detector runs over the lowered IR and its report is
         attached as ``CompiledKernel.sanitizer_report``.
@@ -405,7 +443,7 @@ class CuCCRuntime:
 
                     cached.sanitizer_report = sanitize_kernel(cached.kernel)
                 return cached
-        lowered = simplify_kernel(kernel) if simplify else kernel
+        lowered = simplify_kernel(kernel)
         analysis = analyze_kernel(lowered)
         vect = analyze_vectorizability(lowered)
         report = None
@@ -701,9 +739,11 @@ class CuCCRuntime:
                 break
             except NodeFailure as e:
                 state.recoveries += 1
-                # work of the failed attempt is lost: account it as
-                # recovery cost, not as productive phase time
-                state.recovery_time += attempt_partial + attempt_allgather
+                if not allgather_done:
+                    # the failed attempt's work is discarded and replayed:
+                    # account it as recovery cost, not productive phase
+                    # time (past the Allgather nothing is discarded)
+                    state.recovery_time += attempt_partial + attempt_allgather
                 state.recovery_time += self._recover_from_node_loss(
                     e, state.ckpt, allgather_done
                 )
@@ -1028,24 +1068,10 @@ class CuCCRuntime:
         run_args: dict[str, object] = dict(scalar_args)
         for pname, bname in buffer_args.items():
             run_args[pname] = node.buffer(bname)
-        # the JIT carries no sanitizer/profiler hooks; hooked launches
-        # (only possible under backend="auto" — "jit" rejects the hooks
-        # at construction) take the reference interpreter
-        if self.backend != "interp" and self._cur_san is None and prof is None:
-            from repro.interp.jit import JITBlockExecutor, JITUnsupported
-
-            try:
-                return JITBlockExecutor(
-                    kernel, config, run_args, counters,
-                    bounds_check=self.bounds_check, cache=self.jit_cache,
-                )
-            except JITUnsupported:
-                if self.backend == "jit":
-                    raise
-        return BlockExecutor(
-            kernel, config, run_args, counters, bounds_check=self.bounds_check,
-            sanitize=self._cur_san if self._cur_san is not None else False,
-            profile=prof,
+        return make_executor(
+            kernel, config, run_args, counters,
+            bounds_check=self.bounds_check, sanitize=self._cur_san,
+            profile=prof, backend=self.backend, jit_cache=self.jit_cache,
         )
 
     def _run_replicated(

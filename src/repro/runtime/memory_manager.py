@@ -26,9 +26,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.errors import DeviceMemoryError
+from repro.errors import DeviceMemoryError, LaunchError
 
-__all__ = ["ClusterMemory", "Checkpoint"]
+__all__ = ["ClusterMemory", "Checkpoint", "DeviceHeap"]
+
+
+class DeviceHeap:
+    """The CUDA memory API over one flat memory space — what the GPU
+    model and the PGAS runtime (global arrays) expose to a host."""
+
+    def __init__(self) -> None:
+        self._memory: dict[str, np.ndarray] = {}
+
+    def alloc(self, name: str, size: int, dtype) -> str:
+        if name in self._memory:
+            raise DeviceMemoryError(f"buffer {name!r} already allocated")
+        self._memory[name] = np.zeros(int(size), dtype=np.dtype(dtype))
+        return name
+
+    def free(self, name: str) -> None:
+        if name not in self._memory:
+            raise DeviceMemoryError(f"unknown buffer {name!r}")
+        del self._memory[name]
+
+    def memcpy_h2d(self, name: str, host: np.ndarray) -> None:
+        buf = self._buffer(name)
+        host = np.ascontiguousarray(host).reshape(-1)
+        if host.dtype != buf.dtype or host.size != buf.size:
+            raise DeviceMemoryError(f"memcpy_h2d {name!r}: shape/dtype mismatch")
+        buf[:] = host
+
+    def memcpy_d2h(self, name: str) -> np.ndarray:
+        return self._buffer(name).copy()
+
+    def _buffer(self, name: str) -> np.ndarray:
+        try:
+            return self._memory[name]
+        except KeyError:
+            raise DeviceMemoryError(f"unknown buffer {name!r}") from None
+
+    def bind(self, kernel, args: dict[str, object]) -> dict[str, object]:
+        """A launch's kernel arguments, every pointer parameter's buffer
+        name resolved to its array."""
+        run_args: dict[str, object] = {}
+        for p in kernel.params:
+            if p.name not in args:
+                raise LaunchError(f"missing argument {p.name!r}")
+            v = args[p.name]
+            if p.is_pointer:
+                if not isinstance(v, str):
+                    raise LaunchError(
+                        f"pointer argument {p.name!r} must be a buffer name"
+                    )
+                v = self._buffer(v)
+            run_args[p.name] = v
+        return run_args
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ReproError, ServeError
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import NULL_TRACER, Span, SpanKind, Tracer
+from repro.obs.tracer import Span, SpanKind, Tracer
 from repro.serve.accounting import ServeReport
 from repro.serve.packer import AdmissionPacker
 from repro.serve.pipeline import (
@@ -89,6 +89,14 @@ class _ExecOutcome:
     digests: dict
     spans: tuple  # the job-local tracer's spans
     netflow: tuple = ()  # the job-local flow ledger's raw records
+
+    def placed(self, request, timing, node_ids) -> JobResult:
+        """This outcome placed on ``node_ids`` at ``timing``."""
+        return JobResult(
+            request=request, status=self.status, error=self.error,
+            node_ids=node_ids, timing=timing, profile=self.profile,
+            record=self.record, output_digests=self.digests,
+        )
 
 
 @dataclass
@@ -157,21 +165,40 @@ class CuCCServer:
         cl = CLUSTERS[config.cluster]
         self.node_spec = cl.node
         self.network = cl.network
-        self.tuning = self._load_tuning(config.tuning)
-        self.jit_cache = self._load_jit_cache(config.jit_cache)
-        if isinstance(config.trace, Tracer):
-            self.tracer = config.trace
-        else:
-            self.tracer = Tracer() if config.trace else NULL_TRACER
-        self.slo_policy = self._load_slo(config.slo)
-        self.observatory = self._load_observatory(
-            config.observatory,
-            implied=self.slo_policy is not None
-            or config.postmortem_dir is not None,
-        )
+        #: shared caches (None = off); a path loads the file
+        self.tuning = self.jit_cache = None
+        if config.tuning is not None:
+            from repro.tuning.cache import TuningCache
+
+            self.tuning = TuningCache.load(config.tuning)
+        if config.jit_cache is not None:
+            from repro.interp.jit import CompileCache
+
+            self.jit_cache = CompileCache.load(config.jit_cache)
+        self.tracer = Tracer.from_option(config.trace)
+        self.slo_policy = None
+        if config.slo is not None:
+            from repro.obs.slo import SLOPolicy
+
+            self.slo_policy = SLOPolicy.parse(config.slo)
+        #: fleet ledger; SLO monitoring and post-mortem dumping imply it
+        #: (they feed off its ring buffers)
+        self.observatory = None
+        if (
+            config.observatory
+            or self.slo_policy is not None
+            or config.postmortem_dir is not None
+        ):
+            from repro.obs.observatory import Observatory
+
+            self.observatory = Observatory.from_option(config.observatory)
         #: service-wide flow ledger (None = netflow off); per-job
         #: ledgers are adopted into it with job_id attribution
-        self.netflow = self._load_netflow(config.netflow)
+        self.netflow = None
+        if config.netflow is not None and config.netflow is not False:
+            from repro.obs.netflow import NetFlowLedger
+
+            self.netflow = NetFlowLedger.from_option(config.netflow)
         #: post-mortem documents dumped this run (flight recorder)
         self.postmortems: list[dict] = []
         #: paths written when config.postmortem_dir is set
@@ -180,60 +207,6 @@ class CuCCServer:
         #: (pipelined admission peeks at a candidate's profile before
         #: deciding to attach it; the peek must not re-run the job)
         self._outcomes: dict[str, _ExecOutcome] = {}
-
-    @staticmethod
-    def _load_slo(slo):
-        if slo is None:
-            return None
-        from repro.obs.slo import SLOPolicy
-
-        return slo if isinstance(slo, SLOPolicy) else SLOPolicy.parse(slo)
-
-    @staticmethod
-    def _load_observatory(observatory, implied: bool):
-        """Resolve the observatory knob; SLO monitoring and post-mortem
-        dumping imply the ledger (they feed off its ring buffers)."""
-        if not observatory and not implied:
-            return None
-        from repro.obs.observatory import Observatory
-
-        return (
-            observatory if isinstance(observatory, Observatory)
-            else Observatory()
-        )
-
-    @staticmethod
-    def _load_netflow(netflow):
-        if netflow is None or netflow is False:
-            return None
-        from repro.obs.netflow import NetFlowLedger
-
-        return (
-            netflow if isinstance(netflow, NetFlowLedger)
-            else NetFlowLedger()
-        )
-
-    @staticmethod
-    def _load_tuning(tuning):
-        if tuning is None:
-            return None
-        from repro.tuning.cache import TuningCache
-
-        return (
-            tuning if isinstance(tuning, TuningCache)
-            else TuningCache.load(tuning)
-        )
-
-    @staticmethod
-    def _load_jit_cache(jit_cache):
-        if jit_cache is None:
-            return None
-        from repro.interp.jit import CompileCache
-
-        return (
-            jit_cache if isinstance(jit_cache, CompileCache)
-            else CompileCache.load(jit_cache)
-        )
 
     # -- functional execution (schedule-independent) --------------------
     def _execute(self, req: JobRequest) -> _ExecOutcome:
@@ -273,22 +246,14 @@ class CuCCServer:
                 trace=job_tracer,
                 backend=self.config.backend,
                 jit_cache=self.jit_cache,
-                netflow=job_netflow if job_netflow is not None else False,
+                netflow=job_netflow,
             )
-            for name, arr in spec.arrays.items():
-                rt.memory.alloc(name, arr.size, arr.dtype)
-                rt.memory.memcpy_h2d(name, arr)
-            compiled = rt.compile(spec.kernel)
-            record = rt.launch(compiled, spec.grid, spec.block, spec.args())
-            outputs = {
-                o: rt.memory.memcpy_d2h(o, check_consistency=True)
-                for o in spec.outputs
-            }
-            if self.config.verify:
-                spec.verify(outputs)
+            rt.upload(spec)
+            res = rt.run(spec, verify=self.config.verify)
+            record = res.record
             digests = {
                 o: hashlib.sha256(a.tobytes()).hexdigest()
-                for o, a in sorted(outputs.items())
+                for o, a in sorted(res.outputs.items())
             }
             profile = PhaseProfile.from_record(record)
         except ReproError as e:
@@ -316,27 +281,7 @@ class CuCCServer:
         or an iterable of :class:`~repro.serve.queue.JobRequest`
         (ordered by arrival time, submission order breaking ties).
         """
-        if isinstance(requests, SubmissionQueue):
-            ordered = requests.requests()
-        else:
-            ordered = [
-                r for _, _, r in sorted(
-                    (r.arrival_s, i, r) for i, r in enumerate(requests)
-                )
-            ]
-        if not ordered:
-            raise ServeError("nothing to serve: the submission set is empty")
-        seen: set[str] = set()
-        for r in ordered:
-            if r.job_id in seen:
-                raise ServeError(f"duplicate job_id {r.job_id!r}")
-            seen.add(r.job_id)
-            if r.nodes > self.config.nodes:
-                raise ServeError(
-                    f"job {r.job_id!r} requests {r.nodes} nodes; the "
-                    f"service pool has {self.config.nodes}"
-                )
-
+        ordered = _ordered_requests(requests, self.config.nodes)
         obs = self.observatory
         if obs is not None:
             obs.reset(self.config.nodes)
@@ -358,11 +303,7 @@ class CuCCServer:
         results: dict[str, JobResult] = {}
 
         def place(req, outcome, timing, node_ids):
-            res = JobResult(
-                request=req, status=outcome.status, error=outcome.error,
-                node_ids=node_ids, timing=timing, profile=outcome.profile,
-                record=outcome.record, output_digests=outcome.digests,
-            )
+            res = outcome.placed(req, timing, node_ids)
             results[req.job_id] = res
             self._account(res)
             if obs is not None:
@@ -615,6 +556,33 @@ class CuCCServer:
             ))
 
 
+def _ordered_requests(requests, pool_nodes: int) -> list[JobRequest]:
+    """The submission set in serving order (arrival time, submission
+    order breaking ties), validated: non-empty, unique job ids, every
+    job no wider than the pool."""
+    if isinstance(requests, SubmissionQueue):
+        ordered = requests.requests()
+    else:
+        ordered = [
+            r for _, _, r in sorted(
+                (r.arrival_s, i, r) for i, r in enumerate(requests)
+            )
+        ]
+    if not ordered:
+        raise ServeError("nothing to serve: the submission set is empty")
+    seen: set[str] = set()
+    for r in ordered:
+        if r.job_id in seen:
+            raise ServeError(f"duplicate job_id {r.job_id!r}")
+        seen.add(r.job_id)
+        if r.nodes > pool_nodes:
+            raise ServeError(
+                f"job {r.job_id!r} requests {r.nodes} nodes; the "
+                f"service pool has {pool_nodes}"
+            )
+    return ordered
+
+
 def serve_requests(requests, config: ServeConfig | None = None, **kwargs):
     """One-shot convenience: serve ``requests`` under ``config``."""
     return CuCCServer(config, **kwargs).run(requests)
@@ -631,34 +599,16 @@ def serve_serially(requests, config: ServeConfig | None = None, **kwargs):
     determinism contract says must not matter per job.
     """
     server = CuCCServer(config, **kwargs)
-    server.config.pipeline = False
-    if isinstance(requests, SubmissionQueue):
-        ordered = requests.requests()
-    else:
-        ordered = [
-            r for _, _, r in sorted(
-                (r.arrival_s, i, r) for i, r in enumerate(requests)
-            )
-        ]
-    if not ordered:
-        raise ServeError("nothing to serve: the submission set is empty")
+    # a copy: the caller's config must come back unchanged
+    server.config = replace(server.config, pipeline=False)
+    ordered = _ordered_requests(requests, server.config.nodes)
     results = []
     t = 0.0
     for req in ordered:
-        if req.nodes > server.config.nodes:
-            raise ServeError(
-                f"job {req.job_id!r} requests {req.nodes} nodes; the "
-                f"service pool has {server.config.nodes}"
-            )
         outcome = server._execute(req)
         timing = schedule_fresh(outcome.profile, max(t, req.arrival_s))
         t = timing.finish_s
-        res = JobResult(
-            request=req, status=outcome.status, error=outcome.error,
-            node_ids=tuple(range(req.nodes)), timing=timing,
-            profile=outcome.profile, record=outcome.record,
-            output_digests=outcome.digests,
-        )
+        res = outcome.placed(req, timing, tuple(range(req.nodes)))
         results.append(res)
         server._account(res)
     return ServeReport(

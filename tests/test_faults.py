@@ -233,6 +233,10 @@ def test_crash_at_each_phase_boundary_recovers(spec, reference, phase):
     assert rec.recoveries == 1
     assert res.runtime.cluster.num_nodes == NODES - 1
     assert res.time > ref.time  # modeled recovery cost is never free
+    # every modeled second is booked exactly once: work that survives
+    # the crash is phase time, only discarded work is recovery time
+    # (the phases sum in another order than the clocks: a few ulps)
+    assert res.time == pytest.approx(res.runtime.sim_time, rel=1e-12)
     out = _outputs(spec, res)
     for o in spec.outputs:
         assert np.array_equal(out[o], ref_out[o])

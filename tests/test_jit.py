@@ -322,6 +322,28 @@ def test_cucc_runtime_backend_validation():
                     profile=True)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"backend": "cuda"},
+        {"backend": ""},
+        {"backend": "jit", "sanitize": True},
+        {"backend": "jit", "profile": True},
+    ],
+)
+def test_run_grid_and_runtime_share_the_backend_rule(options):
+    from repro.cluster import make_cluster
+    from repro.runtime.cucc import CuCCRuntime
+
+    with pytest.raises(LaunchError) as from_grid:
+        run_grid(_straight(), LaunchConfig.make(1, 4),
+                 {"x": np.zeros(4, np.float32), "y": np.zeros(4, np.float32)},
+                 **options)
+    with pytest.raises(LaunchError) as from_runtime:
+        CuCCRuntime(make_cluster("simd-focused", 2), **options)
+    assert str(from_grid.value) == str(from_runtime.value)
+
+
 # ---------------------------------------------------------------------------
 # masked-access counter identity (satellite: _count_lines fix)
 # ---------------------------------------------------------------------------

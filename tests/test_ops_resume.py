@@ -104,8 +104,19 @@ def test_interrupt_resume_faulted(tmp_path):
     )
 
 
-#: the on-disk mid-launch state; a checkpoint written by an older commit
-#: resumes only as long as this key set (and .rckp version) stays put
+def test_interrupt_resume_callback_crash(tmp_path):
+    # past the Allgather nothing is discarded, so the resumed run (whose
+    # partial/Allgather times come from the file) books the same recovery
+    _interrupt_resume_gate(tmp_path, "crash:rank=1,phase=callback")
+
+
+#: the on-disk state; a checkpoint written by an older commit resumes
+#: only as long as these key sets (and .rckp version) stay put
+RUNTIME_KEYS = {
+    "params", "recovery", "simd_enabled", "bounds_check",
+    "faithful_replication", "sanitize", "allgather_algo", "drift",
+    "backend",
+}
 PENDING_KEYS = {
     "stage", "kernel", "grid", "block", "overhead", "partial_time",
     "partial_counters", "allgather_time", "allgather_algos", "retries",
@@ -129,7 +140,9 @@ def test_pending_dict_key_set_is_pinned(tmp_path, faults):
                 fault_plan=FaultPlan.parse(faults, seed=7) if faults else None,
                 checkpoint=_policy(ckdir, halt_after=k),
             )
-        pending = read_checkpoint(latest_checkpoint(ckdir))[0]["pending"]
+        meta = read_checkpoint(latest_checkpoint(ckdir))[0]
+        assert set(meta["runtime"]) == RUNTIME_KEYS
+        pending = meta["pending"]
         if pending is None:
             continue  # a launch-end checkpoint
         stages.add(pending["stage"])

@@ -240,3 +240,30 @@ def test_model_agrees_with_runtime_phases():
                                                 rel=0.02)
         assert model.callback == pytest.approx(res.record.phases.callback,
                                                rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# the one way in: harness and baseline forward every runtime option
+# ---------------------------------------------------------------------------
+def test_harness_forwards_every_runtime_option():
+    import inspect
+
+    from repro.baselines.single_cpu import SingleCPURuntime
+    from repro.bench.harness import run_on_cucc
+    from repro.workloads import PERF_WORKLOADS
+
+    options = set(inspect.signature(CuCCRuntime.__init__).parameters)
+    options -= {"self", "cluster"}
+    for entry in (run_on_cucc, SingleCPURuntime.__init__):
+        params = inspect.signature(entry).parameters
+        # no by-name copy of the option list: everything rides **kwargs
+        assert not options & set(params)
+        assert any(p.kind is p.VAR_KEYWORD for p in params.values())
+
+    spec = PERF_WORKLOADS["FIR"]("small")
+    res = run_on_cucc(spec, make_cluster("simd-focused", 4), sanitize=True)
+    assert res.record.sanitizer_report is not None
+    assert res.runtime.faithful_replication is False  # the harness default
+    assert set(res.outputs) == set(spec.outputs)
+    with pytest.raises(TypeError, match="turbo"):
+        run_on_cucc(spec, make_cluster("simd-focused", 4), turbo=True)

@@ -277,16 +277,27 @@ def test_pipelined_beats_concurrent_beats_serial_under_backlog():
 
 
 def test_server_rejects_bad_submissions():
-    with pytest.raises(ServeError, match="pool has 2"):
-        serve_requests([JobRequest("big", "FIR", nodes=4)],
-                       ServeConfig(nodes=2))
-    with pytest.raises(ServeError, match="duplicate"):
-        serve_requests([JobRequest("x", "FIR"), JobRequest("x", "FIR")],
-                       ServeConfig(nodes=4))
-    with pytest.raises(ServeError, match="empty"):
-        serve_requests([], ServeConfig(nodes=4))
+    # the concurrent server and the serial reference validate alike
+    for serve in (serve_requests, serve_serially):
+        with pytest.raises(ServeError, match="pool has 2"):
+            serve([JobRequest("big", "FIR", nodes=4)], ServeConfig(nodes=2))
+        with pytest.raises(ServeError, match="duplicate"):
+            serve([JobRequest("x", "FIR"), JobRequest("x", "FIR")],
+                  ServeConfig(nodes=4))
+        with pytest.raises(ServeError, match="empty"):
+            serve([], ServeConfig(nodes=4))
     with pytest.raises(ServeError, match="unknown cluster"):
         CuCCServer(ServeConfig(cluster="abacus"))
+
+
+def test_serve_serially_leaves_the_callers_config_unchanged():
+    # a config reused for a concurrent run afterwards must still pipeline
+    import dataclasses
+
+    cfg = ServeConfig(nodes=4)
+    before = dataclasses.asdict(cfg)
+    serve_serially([JobRequest("a", "FIR")], cfg)
+    assert dataclasses.asdict(cfg) == before and cfg.pipeline is True
 
 
 # -- shared caches ------------------------------------------------------
