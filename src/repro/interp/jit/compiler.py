@@ -45,7 +45,8 @@ import hashlib
 import itertools
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,7 +100,7 @@ __all__ = [
 
 #: Bumped whenever generated code changes shape — part of the cache key,
 #: so stale persistent-cache entries can never be replayed.
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 _COUNTER_FIELDS = tuple(f.name for f in fields(OpCounters))
 
@@ -124,6 +125,8 @@ _STATIC_SREGS = {
 }
 
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+_INT_LITERAL = re.compile(r"-?\d+$").match
 
 
 class _Undef:
@@ -229,15 +232,76 @@ def compile_program(kernel: Kernel, block, bounds_check: bool = True) -> JITProg
 # codegen
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
+class _Fact:
+    """Index fact: the value equals ``scale * base + offset`` on every
+    lane as exact integers, modulo the width of the value's dtype.
+
+    ``base`` is the name of a lane-shaped int32/int64 variable or
+    special register; ``scale`` and ``offset`` are Python-``int`` source
+    text built from ``int(<0-d value>)`` atoms.  NumPy's fixed-width
+    ``+ - *`` are the ring operations, so the congruence survives any
+    wrapped intermediate: once the *exact* value is shown to fit the
+    dtype on every lane, it is the value the vector code computed."""
+
+    base: str
+    scale: str = "1"
+    offset: str = "0"
+
+
+@dataclass(frozen=True)
 class _Val:
     """An emitted expression: its code (a name or atomic expression),
-    its *runtime* NumPy dtype, and its scalar-ness tri-state
-    (``True`` = provably 0-d, ``False`` = provably lane-shaped,
-    ``None`` = unknown at compile time)."""
+    its *runtime* NumPy dtype, its scalar-ness tri-state (``True`` =
+    provably 0-d, ``False`` = provably lane-shaped, ``None`` = unknown
+    at compile time), and its index fact when it has one."""
 
     code: str
     np: object
     tri: bool | None
+    fact: _Fact | None = None
+
+
+@dataclass(frozen=True)
+class _Idx:
+    """A sanitized index as the access sites consume it: the variable
+    holding it, whether it is statically 0-d, and — when an index fact
+    proved it — ``(flag, lo, hi)``: at run time, if ``flag`` then the
+    active lanes' indices span exactly ``[lo, hi]`` (Python ints)."""
+
+    safe: str
+    uniform: bool = False
+    act: tuple[str, str, str] | None = None
+
+
+class _Proof(NamedTuple):
+    """Names bound by :meth:`_Codegen.prove` (all Python scalars at run
+    time).  ``ok``: the exact index fits its dtype and lies in
+    ``[0, extent)`` on *every* lane, ``[lo, hi]`` being its exact range
+    — so the sanitized index is the index.  ``unit``: the hoisted "base
+    is ``lo, lo+1, ...``" flag, or ``None`` if not asked for or the
+    scale is not 1.  ``act``: the :class:`_Idx` triple, or ``None``."""
+
+    ok: str
+    lo: str
+    hi: str
+    unit: str | None
+    act: tuple[str, str, str] | None
+
+
+@dataclass
+class _Loop:
+    """One enclosing loop of the emission point: its break mask, the
+    variables its body reassigns and, for the invariant-bounds form, the
+    preheader ``slot`` (a line list spliced in before the ``for``) that
+    per-span facts about loop-invariant bases are hoisted to.  ``mask``
+    is the body mask when that is the entry mask on every iteration."""
+
+    bk: str | None
+    kills: frozenset
+    slot: list | None = None
+    ind: int = 0
+    mask: str | None = None
+    memo: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -279,7 +343,7 @@ class _Codegen:
     def __init__(self, kernel: Kernel, facts: DivergenceFacts):
         self.k = kernel
         self.facts = facts
-        self.lines: list[str] = []
+        self.lines: list[str | list[str]] = []  # lists: preheader slots
         self.ind = 3  # def (1) + try (2) + errstate-with (3)
         self._ids = itertools.count()
         # pools rendered as module-level assignments
@@ -299,7 +363,10 @@ class _Codegen:
         self.tri: dict[str, bool | None] = {}
         self.shared_decls: set[str] = set()
         self.local_decls: set[str] = set()
-        self.frames: list[str | None] = []  # per-loop break-mask var
+        self.loops: list[_Loop] = []  # enclosing loops, innermost last
+        # False while emitting operands that outlive a buffer mutation
+        # (atomic operands, loop bounds): those must not be slice views
+        self.views = True
         self.masked = False  # emitted any statement-level divergence?
         # common-subexpression pool: structural key -> bound temp name.
         # Entries are scoped to the runtime suite they were emitted in
@@ -373,6 +440,16 @@ class _Codegen:
         finally:
             self.cse = snap
 
+    @contextmanager
+    def retained(self):
+        """Operands emitted inside are held across a later mutation of
+        the buffers (atomic operands, loop bounds): no slice views."""
+        prev, self.views = self.views, False
+        try:
+            yield
+        finally:
+            self.views = prev
+
     def cse_kill(self, *names: str) -> None:
         """Drop pooled entries that mention a reassigned variable."""
         if not names or not self.cse:
@@ -401,7 +478,10 @@ class _Codegen:
                 f"np.asarray({v.code}).astype({self.dt(target)}, copy=False)"
             )
             self.cse[key] = t
-        return _Val(t, target, v.tri)
+        # a fact lives in one integer ring; only the base itself widens
+        # exactly (``(long)gid``) without a range obligation
+        bare = v.fact == _Fact(v.code) and target == _I64
+        return _Val(t, target, v.tri, v.fact if bare else None)
 
     def truthy(self, v: _Val) -> _Val:
         if v.np == _BOOL:
@@ -426,6 +506,8 @@ class _Codegen:
 
     # -- static prepass -------------------------------------------------
     def _prepass(self) -> None:
+        # a declaration inside a loop or branch would re-lay the segment
+        # mid-span, under every pooled or hoisted segment index
         top = {id(s) for s in self.k.body}
         for s in iter_stmts(self.k.body):
             if isinstance(s, (AllocShared, AllocLocal)) and id(s) not in top:
@@ -501,7 +583,7 @@ class _Codegen:
             if e.kind in _LANE_SREGS:
                 var = f"sr_{_LANE_SREGS[e.kind]}"
                 self.used_sregs[e.kind] = var
-                return _Val(var, np.dtype(np.int32), False)
+                return _Val(var, np.dtype(np.int32), False, _Fact(var))
             var = f"sg_{_STATIC_SREGS[e.kind]}"
             self.used_sregs[e.kind] = var
             return _Val(var, np.dtype(np.int32), True)
@@ -527,7 +609,12 @@ class _Codegen:
                 self.w(f"if v_{e.name} is _UNDEF:")
                 with self.indent():
                     self.w(f"_undef_read(KNAME, {e.name!r})")
-            return _Val(f"v_{e.name}", np.dtype(dt.np), self.tri.get(e.name))
+            var, npdt, tri = f"v_{e.name}", np.dtype(dt.np), self.tri.get(e.name)
+            base = (
+                tri is False and e.name in self.assigned
+                and npdt.kind == "i" and npdt.itemsize >= 4
+            )
+            return _Val(var, npdt, tri, _Fact(var) if base else None)
         if isinstance(e, BinOp):
             return self.ex_binop(e, m, n)
         if isinstance(e, UnOp):
@@ -548,8 +635,7 @@ class _Codegen:
         if isinstance(e, Cast):
             v = self.ex(e.value, m, n)
             self.count("int_ops", n)
-            cv = self.cast(v, e.type.np)
-            return _Val(cv.code, np.dtype(e.type.np), v.tri)
+            return self.cast(v, e.type.np)
         if isinstance(e, Load):
             return self.ex_load(e, m, n)
         if isinstance(e, Call):
@@ -641,6 +727,7 @@ class _Codegen:
         self.count("int_ops", n)
         if op in ("+", "-", "*"):
             t = self.bind(f"({la.code} {op} {ra.code})")
+            return _Val(t, rtnp, tri, _affine(op, la, ra))
         elif op == "/":
             # _c_int_div output dtype equals its (already-cast) operand
             # dtype, so the interpreter's trailing astype is an identity
@@ -652,9 +739,106 @@ class _Codegen:
         return _Val(t, rtnp, tri)
 
     # -- memory ---------------------------------------------------------
+    def hoist(self, base: str, mask: str | None = None) -> _Loop | None:
+        """The outermost enclosing preheader at which ``base`` (and the
+        mask variable, if given) already hold the values they have at
+        the emission point — where their per-span facts are computed."""
+        name = base[2:] if base.startswith("v_") else None
+        best = None
+        for loop in reversed(self.loops):
+            if name in loop.kills or (mask is not None and loop.mask != mask):
+                break
+            if loop.slot is not None:
+                best = loop
+        return best
+
+    def hoisted(self, loop: _Loop, code: str) -> str:
+        """``code`` evaluated once in ``loop``'s preheader."""
+        name = loop.memo.get(code)
+        if name is None:
+            name = loop.memo[code] = self.tmp("h")
+            loop.slot.append(" " * (4 * loop.ind) + f"{name} = {code}")
+        return name
+
+    def span_of(self, loop: _Loop, src: str) -> tuple[str, str]:
+        """Hoisted Python-int min and max of the lane vector ``src``."""
+        return (
+            self.hoisted(loop, f"int({src}.min())"),
+            self.hoisted(loop, f"int({src}.max())"),
+        )
+
+    def interval(self, s: str, o: str, blo: str, bhi: str) -> tuple[str, str]:
+        """Exact ``[lo, hi]`` of ``s * b + o`` for ``b`` in
+        ``[blo, bhi]``: affine, so the extremes sit at the ends."""
+        if s == "1":
+            if o == "0":
+                return blo, bhi
+            return self.bind(f"{blo} + {o}", "lo"), self.bind(f"{bhi} + {o}", "hi")
+        lo = self.bind(f"{s} * {blo} + {o}", "lo")
+        hi = self.bind(f"{s} * {bhi} + {o}", "hi")
+        self.w(f"if {lo} > {hi}:")
+        with self.indent():
+            self.w(f"{lo}, {hi} = {hi}, {lo}")
+        return lo, hi
+
+    def prove(
+        self, iv: _Val, m: _Mask, extent: str, loop: _Loop,
+        slices: bool = False, active: bool = False,
+    ) -> _Proof:
+        """Emit the scalar interval proof for an index fact hosted by
+        ``loop`` (``hoist(iv.fact.base)``).
+
+        With ``active``, also bound the *active* lanes' indices; that
+        flag holds as well when only inactive lanes leave
+        ``[0, extent)`` (the tail span of a boundary-guarded kernel),
+        and takes a loop-invariant body mask so the active lanes' base
+        range can be hoisted too.  With ``slices``, also hoist the
+        unit-stride flag — only alongside ``act``, so the line meter
+        never has to look at a slice."""
+        f = iv.fact
+        blo, bhi = self.span_of(loop, f.base)
+        s = f.scale if _INT_LITERAL(f.scale) else self.bind(f.scale, "s")
+        o = f.offset if _INT_LITERAL(f.offset) else self.bind(f.offset, "o")
+        lo, hi = self.interval(s, o, blo, bhi)
+        info = np.iinfo(iv.np)
+        ok = self.bind(
+            f"0 <= {lo} and {hi} < {extent} and {hi} <= {info.max}", "ok"
+        )
+        act = None
+        if active and m.full:
+            act = (ok, lo, hi)
+        elif active:
+            aloop = self.hoist(f.base, m.var)
+            if aloop is not None:
+                sel = self.hoisted(aloop, f"{f.base}[{m.var}]")
+                alo, ahi = self.interval(s, o, *self.span_of(aloop, sel))
+                aok = self.bind(
+                    f"{ok} or ({info.min} <= {lo} and {hi} <= {info.max} "
+                    f"and 0 <= {alo} and {ahi} < {extent})",
+                    "ok",
+                )
+                act = (aok, alo, ahi)
+        unit = None
+        if slices and s == "1" and act:
+            # nl increasing ints whose ends are nl - 1 apart: consecutive
+            unit = self.hoisted(
+                loop,
+                f"{bhi} - {blo} == nl - 1 and "
+                f"bool(({f.base}[1:] > {f.base}[:-1]).all())",
+            )
+        return _Proof(ok, lo, hi, unit, act)
+
+    def widened(self, iv: _Val) -> str:
+        """Source of a lane-shaped index as int64 (not pooled: it is
+        emitted inside one arm of a run-time branch)."""
+        if iv.np == _I64:
+            return iv.code
+        return f"{iv.code}.astype({self.dt(_I64)}, copy=False)"
+
     def safe_index(
-        self, iv: _Val, m: _Mask, arr: str, what: str, name: str | None
-    ) -> str:
+        self, iv: _Val, m: _Mask, arr: str, what: str, name: str | None,
+        slices: bool = False,
+    ) -> _Idx:
         """Global-memory index sanitation.  Fast path: no lane (active
         or not) out of bounds — the interpreter would return the index
         unchanged (``_safe_indices`` is the identity on fully in-bounds
@@ -662,29 +846,74 @@ class _Codegen:
         exact raise/clamp behaviour and message (statement masks are
         nonempty, so a 0-d OOB index always trips the check).
 
+        An index fact turns the per-access vector check into a scalar
+        one (:meth:`prove`) with the vector ladder as its ``else``; with
+        ``slices``, the proved index of a unit-stride base is the
+        ``slice`` it enumerates.
+
         Results pool per (index, buffer, mask): a repeated access
         through the same index recomputes nothing.  ``what``/``name``
         only color the error message, and a raise always comes from the
         *first* occurrence (evaluation order is the interpreter's), so
         they are deliberately not part of the key."""
-        i1 = self.cast(iv, _I64)
-        key = ("sidx", i1.code, arr, m.var)
+        # no fact, or no preheader to host it: the per-access code stands
+        loop = self.hoist(iv.fact.base) if iv.fact is not None else None
+        slices = slices and loop is not None
+        key = ("sidx", iv.code, arr, m.var, slices)
         hit = self.cse.get(key)
         if hit is not None:
             return hit
-        safe = self.tmp("ix")
-        slow = (
-            f"ctx._safe_indices({i1.code}, {m.var}, {arr}, "
-            f"{what!r}, {name!r})"
-        )
-        scalar_fast = (
-            f"{safe} = {i1.code} if 0 <= int({i1.code}) < {arr}.shape[0] "
-            f"else {slow}"
-        )
+        extent = f"{arr}.shape[0]"
+        slow = f"ctx._safe_indices(%s, {m.var}, {arr}, {what!r}, {name!r})"
+        act = None
+        if loop is not None:
+            p = self.prove(iv, m, extent, loop, slices, active=True)
+            act = p.act
+            safe = self.tmp("ix")
+            wide = self.widened(iv)
+            self.w(f"if {p.ok}:")
+            with self.indent():
+                if p.unit:
+                    self.w(
+                        f"{safe} = slice({p.lo}, {p.hi} + 1) if {p.unit} "
+                        f"else {wide}"
+                    )
+                else:
+                    self.w(f"{safe} = {wide}")
+            if act and act[0] != p.ok:
+                # active lanes in bounds, some inactive lane not: the
+                # ladder's where-zero arm with both reductions proved
+                self.w(f"elif {act[0]}:")
+                with self.indent():
+                    self.w(f"{safe} = np.where({m.var}, {wide}, 0)")
+            self.w("else:")
+            with self.indent(), self.cse_scope():
+                self._index_ladder(iv, m, arr, slow, safe)
+        else:
+            safe = self._index_ladder(iv, m, arr, slow)
+        ix = _Idx(safe, iv.tri is True, act)
+        self.cse[key] = ix
+        return ix
+
+    def _index_ladder(
+        self, iv: _Val, m: _Mask, arr: str, slow: str,
+        safe: str | None = None,
+    ) -> str:
+        """The per-access vector check (two compares, ``|``, ``.any()``)
+        into ``safe``, a fresh name unless given.  A provably 0-d index
+        (integral by IR typing, so ``int()`` of it is exact) is decided
+        as a Python int, with no int64 cast."""
         if iv.tri is True:
-            self.w(scalar_fast)
-            self.cse[key] = safe
+            safe = safe or self.tmp("ix")
+            u = self.bind(f"int({iv.code})", "u")
+            self.w(
+                f"{safe} = {u} if 0 <= {u} < {arr}.shape[0] "
+                f"else {slow % iv.code}"
+            )
             return safe
+        i1 = self.cast(iv, _I64)
+        safe = safe or self.tmp("ix")
+        slow = slow % i1.code
         ob = self.tmp("ob")
         self.w(f"if np.ndim({i1.code}):")
         with self.indent():
@@ -706,69 +935,125 @@ class _Codegen:
                 self.w(f"{safe} = {slow}")
         self.w("else:")
         with self.indent():
-            self.w(scalar_fast)
-        self.cse[key] = safe
+            self.w(
+                f"{safe} = {i1.code} if 0 <= int({i1.code}) < "
+                f"{arr}.shape[0] else {slow}"
+            )
         return safe
 
-    def seg_index(self, kind: str, name: str, iv: _Val, m: _Mask) -> str:
+    def seg_index(self, kind: str, name: str, iv: _Val, m: _Mask) -> _Idx:
         """Shared/local segment index via the inherited helper, pooled
         per (index, array, mask) — the segment layout is fixed for the
-        span, so repeats are pure."""
+        span, so repeats are pure.  With an index fact proving every
+        lane inside ``[0, seg)`` the helper's clamp is the identity and
+        only its segment offset (hoisted) remains.
+
+        Pooling and hoisting both lean on :meth:`_prepass`: arrays are
+        declared at the top level of the kernel body, so the
+        declaration has run, once, before any preheader of a loop that
+        reaches the array."""
         key = ("segidx", kind, iv.code, name, m.var)
         hit = self.cse.get(key)
         if hit is not None:
             return hit
-        safe = self.bind(
-            f"ctx._{kind}_index({name!r}, {iv.code}, {m.var})", "ix"
-        )
-        self.cse[key] = safe
-        return safe
+        safe = self.tmp("ix")
+        call = f"{safe} = ctx._{kind}_index({name!r}, {iv.code}, {m.var})"
+        loop = self.hoist(iv.fact.base) if iv.fact is not None else None
+        if loop is None:
+            self.w(call)
+        else:
+            seg = self.hoisted(loop, f"ctx._{kind}_seg[{name!r}]")
+            off = self.hoisted(
+                loop,
+                f"ctx._lane_ids * {seg}" if kind == "local" else
+                f"None if ctx._block_lane_pos is None "
+                f"else ctx._block_lane_pos * {seg}",
+            )
+            ok = self.prove(iv, m, seg, loop).ok
+            wide = self.widened(iv)
+            self.w(f"if {ok}:")
+            with self.indent():
+                if kind == "local":
+                    self.w(f"{safe} = {wide} + {off}")
+                else:
+                    self.w(
+                        f"{safe} = {wide} if {off} is None "
+                        f"else {wide} + {off}"
+                    )
+            self.w("else:")
+            with self.indent():
+                self.w(call)
+        ix = _Idx(safe)
+        self.cse[key] = ix
+        return ix
 
-    def count_lines(self, safe: str, m: _Mask, elem_size: int, n: str) -> None:
+    def count_lines(self, ix: _Idx, m: _Mask, elem_size: int, n: str) -> None:
         """Mirror ``BlockExecutor._count_lines``: 64-byte-line span
         estimate over the *active* lanes.  Statement masks are nonempty
         by construction so the ``_cur_n`` guard is vacuous.  The
         *amount* is pooled per (index, mask, element size): repeated
         traffic through the same addresses still adds to the counter
-        every time, but the min/max reductions run once."""
+        every time, but the min/max reductions run once — or not at
+        all, when an index fact already knows the active lanes' range."""
         self.used_counters.add("global_line_bytes")
-        key = ("lineamt", safe, m.var, elem_size, n)
+        if ix.uniform:
+            self.w("_c_global_line_bytes += 64.0")
+            return
+        key = ("lineamt", ix.safe, m.var, elem_size, n)
         amt = self.cse.get(key)
         if amt is None:
             amt = self.tmp("lb")
-            la = self.tmp("la")
-            self.w(f"{la} = np.asarray({safe})")
-            self.w(f"if {la}.ndim == 0:")
-            with self.indent():
-                self.w(f"{amt} = 64.0")
-            self.w("else:")
-            with self.indent():
-                ls = self.tmp("ls")
-                self.w(
-                    f"{ls} = {la} if {la}.shape == {m.var}.shape "
-                    f"else np.broadcast_to({la}, {m.var}.shape)"
-                )
-                if not m.full:
-                    self.w(f"{ls} = {ls}[{m.var}]")
-                    self.w(f"if {ls}.size:")
-                    with self.indent():
-                        self._count_lines_span(amt, ls, elem_size, n)
-                    self.w("else:")
-                    with self.indent():
-                        self.w(f"{amt} = 0.0")
-                else:
-                    self._count_lines_span(amt, ls, elem_size, n)
+            if ix.act is not None:
+                ok, lo, hi = ix.act
+                self.w(f"if {ok}:")
+                with self.indent():
+                    self._count_lines_span(
+                        amt, f"{lo} * {elem_size}", f"{hi} * {elem_size}", n
+                    )
+                self.w("else:")
+                with self.indent():
+                    self._count_lines_scan(amt, ix.safe, m, elem_size, n)
+            else:
+                self._count_lines_scan(amt, ix.safe, m, elem_size, n)
             self.cse[key] = amt
         self.w(f"_c_global_line_bytes += {amt}")
 
-    def _count_lines_span(
+    def _count_lines_scan(
+        self, amt: str, safe: str, m: _Mask, elem_size: int, n: str
+    ) -> None:
+        """The per-access form: gather the active lanes, reduce twice."""
+        la = self.tmp("la")
+        self.w(f"{la} = np.asarray({safe})")
+        self.w(f"if {la}.ndim == 0:")
+        with self.indent():
+            self.w(f"{amt} = 64.0")
+        self.w("else:")
+        with self.indent():
+            ls = self.tmp("ls")
+            self.w(
+                f"{ls} = {la} if {la}.shape == {m.var}.shape "
+                f"else np.broadcast_to({la}, {m.var}.shape)"
+            )
+            if not m.full:
+                self.w(f"{ls} = {ls}[{m.var}]")
+                self.w(f"if {ls}.size:")
+                with self.indent():
+                    self._count_lines_minmax(amt, ls, elem_size, n)
+                self.w("else:")
+                with self.indent():
+                    self.w(f"{amt} = 0.0")
+            else:
+                self._count_lines_minmax(amt, ls, elem_size, n)
+
+    def _count_lines_minmax(
         self, amt: str, ls: str, elem_size: int, n: str
     ) -> None:
         lo = self.bind(f"int({ls}.min()) * {elem_size}", "lo")
         hi = self.bind(f"int({ls}.max()) * {elem_size}", "hi")
-        self.w(
-            f"{amt} = 64.0 * float(min({n}, ({hi} - {lo}) // 64 + 1))"
-        )
+        self._count_lines_span(amt, lo, hi, n)
+
+    def _count_lines_span(self, amt: str, lo: str, hi: str, n: str) -> None:
+        self.w(f"{amt} = 64.0 * float(min({n}, ({hi} - {lo}) // 64 + 1))")
 
     def mem_counts(
         self, space: AddressSpace, elem_size: int, n: str, is_store: bool,
@@ -789,18 +1074,18 @@ class _Codegen:
         space, arr, elem, name = self.ptr(e.ptr)
         iv = self.ex(e.index, m, n)
         if space is AddressSpace.SHARED:
-            safe = self.seg_index("shared", name, iv, m)
+            ix = self.seg_index("shared", name, iv, m)
             tri = False if iv.tri is False else None
         elif space is AddressSpace.LOCAL:
-            safe = self.seg_index("local", name, iv, m)
+            ix = self.seg_index("local", name, iv, m)
             tri = False
         else:
-            safe = self.safe_index(iv, m, arr, "load", name)
+            ix = self.safe_index(iv, m, arr, "load", name, self.views)
             tri = iv.tri
         self.mem_counts(space, elem.size, n, is_store=False)
         if space is AddressSpace.GLOBAL:
-            self.count_lines(safe, m, elem.size, n)
-        t = self.bind(f"{arr}[{safe}]")
+            self.count_lines(ix, m, elem.size, n)
+        t = self.bind(f"{arr}[{ix.safe}]")
         return _Val(t, np.dtype(elem.np), tri)
 
     # -- statements -----------------------------------------------------
@@ -851,14 +1136,13 @@ class _Codegen:
             self.w(f"_ret |= {m.var}")
             return None
         if isinstance(s, Break):
-            if not self.frames:
+            if not self.loops:
                 raise self.fail("break outside a loop")
             self.masked = True
-            bk = self.frames[-1]
-            self.w(f"{bk} |= {m.var}")
+            self.w(f"{self.loops[-1].bk} |= {m.var}")
             return None
         if isinstance(s, Continue):
-            if not self.frames:
+            if not self.loops:
                 raise self.fail("continue outside a loop")
             self.masked = True
             return None
@@ -947,23 +1231,24 @@ class _Codegen:
         """Whether an assignment to ``name`` here is provably the first
         execution ever to touch it (no loop around us, no earlier
         assignment emitted)."""
-        return not self.frames and name not in self.tri
+        return not self.loops and name not in self.tri
 
     def stmt_store(self, s: Store, m: _Mask) -> _Mask:
         space, arr, elem, name = self.ptr(s.ptr)
         iv = self.ex(s.index, m, m.n)
         vv = self.ex(s.value, m, m.n)
         if space is AddressSpace.SHARED:
-            safe = self.seg_index("shared", name, iv, m)
+            ix = self.seg_index("shared", name, iv, m)
         elif space is AddressSpace.LOCAL:
-            safe = self.seg_index("local", name, iv, m)
+            ix = self.seg_index("local", name, iv, m)
         else:
-            safe = self.safe_index(iv, m, arr, "store", name)
+            ix = self.safe_index(iv, m, arr, "store", name)
         vc = self.cast(vv, elem.np)
         tv = vc.code if vc.code.isidentifier() else self.bind(vc.code)
         self.mem_counts(space, elem.size, m.n, is_store=True)
         if space is AddressSpace.GLOBAL:
-            self.count_lines(safe, m, elem.size, m.n)
+            self.count_lines(ix, m, elem.size, m.n)
+        safe = ix.safe
         self.w(f"if np.ndim({safe}) == 0:")
         with self.indent():
             if m.full:
@@ -988,13 +1273,15 @@ class _Codegen:
     def stmt_atomic(self, s: Atomic, m: _Mask) -> _Mask:
         space, arr, elem, name = self.ptr(s.ptr)
         iv = self.ex(s.index, m, m.n)
-        vv = self.cast(self.ex(s.value, m, m.n), elem.np)
+        with self.retained():
+            vv = self.cast(self.ex(s.value, m, m.n), elem.np)
         if space is AddressSpace.SHARED:
-            safe = self.seg_index("shared", name, iv, m)
+            ix = self.seg_index("shared", name, iv, m)
         elif space is AddressSpace.LOCAL:
-            safe = self.seg_index("local", name, iv, m)
+            ix = self.seg_index("local", name, iv, m)
         else:
-            safe = self.safe_index(iv, m, arr, "atomic", name)
+            ix = self.safe_index(iv, m, arr, "atomic", name)
+        safe = ix.safe
         if m.full:
             safe_l = self.bind(
                 f"np.broadcast_to({safe}, {m.var}.shape)", "al"
@@ -1010,10 +1297,11 @@ class _Codegen:
         self.count("atomics", m.n)
         self.mem_counts(space, elem.size, m.n, is_store=True, factor=2.0)
         if space is AddressSpace.GLOBAL:
-            self.count_lines(safe, m, elem.size, m.n)
+            self.count_lines(ix, m, elem.size, m.n)
         cmp_l = "None"
         if s.op == "cas":
-            cv = self.cast(self.ex(s.compare, m, m.n), elem.np)
+            with self.retained():
+                cv = self.cast(self.ex(s.compare, m, m.n), elem.np)
             if m.full:
                 cmp_l = self.bind(
                     f"np.broadcast_to({cv.code}, {m.var}.shape)", "al"
@@ -1167,9 +1455,10 @@ class _Codegen:
         return _Mask(out, nv, False)
 
     def stmt_for(self, s: For, m: _Mask) -> _Mask:
-        sv = self.ex(s.start, m, m.n)
-        pv = self.ex(s.stop, m, m.n)
-        ev = self.ex(s.step, m, m.n)
+        with self.retained():
+            sv = self.ex(s.start, m, m.n)
+            pv = self.ex(s.stop, m, m.n)
+            ev = self.ex(s.step, m, m.n)
         sc = sv.code if sv.code.isidentifier() else self.bind(sv.code)
         pc = pv.code if pv.code.isidentifier() else self.bind(pv.code)
         ec = ev.code if ev.code.isidentifier() else self.bind(ev.code)
@@ -1181,16 +1470,17 @@ class _Codegen:
         bk = None
         if _has_break_at_level(s.body):
             bk = self.bind("np.zeros(nl, dtype=bool)", "bk")
-        self.frames.append(bk)
+        carried = _loop_assigned(s.body)
+        self.loops.append(_Loop(bk, frozenset(carried | {s.var})))
         tri3 = _tri_all(sv.tri, pv.tri, ev.tri)
         # bounds are evaluated on pre-loop values (above); everything the
         # body assigns is loop-carried and of unknown shape from here on
-        for name in _loop_assigned(s.body):
+        for name in carried:
             if name in self.tri:
                 self.tri[name] = None
         # kill before the scope snapshot: restoring the pool at loop exit
         # must not resurrect values the loop body reassigned
-        self.cse_kill(s.var, *_loop_assigned(s.body))
+        self.cse_kill(s.var, *carried)
         snap_a, snap_t = set(self.assigned), dict(self.tri)
         try:
             if not assigns and tri3 is True:
@@ -1217,7 +1507,7 @@ class _Codegen:
                     self._for_variant(s, m, sc, pc, ec, bk, ret_in, assigns)
                 self._merge_scope(snap_a, snap_t, a_assigned, a_tri)
         finally:
-            self.frames.pop()
+            self.loops.pop()
         # 0-trip loops make body effects non-definite
         self.assigned = set(snap_a)
         for name in set(self.tri) - set(snap_t):
@@ -1266,6 +1556,12 @@ class _Codegen:
                 )
         self.w("else:")
         with self.indent():
+            # the preheader: facts about bases the body leaves alone are
+            # spliced in here as its accesses ask for them
+            loop = self.loops[-1]
+            loop.slot, loop.ind = [], self.ind
+            loop.mask = m.var if bk is None and not ret_in else None
+            self.lines.append(loop.slot)
             it = self.tmp("i")
             self.w(f"for {it} in range(int({sc}), int({pc}), {fs}):")
             with self.indent():
@@ -1275,6 +1571,8 @@ class _Codegen:
                 self.assigned.add(s.var)
                 self.tri[s.var] = True
                 self.body(s.body, mb)
+            # the other (run-time dispatched) form hosts nothing
+            loop.slot = loop.mask = None
 
     def _for_variant(
         self, s: For, m: _Mask, sc: str, pc: str, ec: str,
@@ -1338,14 +1636,15 @@ class _Codegen:
         bk = None
         if _has_break_at_level(s.body):
             bk = self.bind("np.zeros(nl, dtype=bool)", "bk")
-        self.frames.append(bk)
+        kills = _loop_assigned(s.body)
+        self.loops.append(_Loop(bk, frozenset(kills)))
         snap_a, snap_t = set(self.assigned), dict(self.tri)
         # condition and body may read loop-carried values
-        for name in _loop_assigned(s.body):
+        for name in kills:
             if name in self.tri:
                 self.tri[name] = None
         # as in stmt_for: kill loop-carried names before the scope snapshot
-        self.cse_kill(*_loop_assigned(s.body))
+        self.cse_kill(*kills)
         it = self.bind("0", "it")
         try:
             self.w("while True:")
@@ -1366,7 +1665,7 @@ class _Codegen:
                         f"{MAX_LOOP_ITERS} iterations\")"
                     )
         finally:
-            self.frames.pop()
+            self.loops.pop()
         self.assigned = set(snap_a)
         for name in set(self.tri) - set(snap_t):
             self.tri[name] = None
@@ -1422,7 +1721,8 @@ class _Codegen:
         out = header + ["    " + p for p in pre]
         out.append("    try:")
         out.append("        with np.errstate(all=\"ignore\"):")
-        out.extend(self.lines)
+        for line in self.lines:
+            out.extend(line) if isinstance(line, list) else out.append(line)
         out.append("    finally:")
         out.append("        if counters is not None:")
         flushed = False
@@ -1441,6 +1741,29 @@ class _Codegen:
 # ---------------------------------------------------------------------------
 # structural helpers
 # ---------------------------------------------------------------------------
+def _affine(op: str, a: _Val, b: _Val) -> _Fact | None:
+    """Index fact of ``a op b`` for ``+ - *`` on two ints of one dtype:
+    a fact on one side and a proved-0-d value on the other compose; two
+    lane-shaped sides (two bases) do not."""
+    if a.fact is not None and b.tri is True:
+        f, k = a.fact, f"int({b.code})"
+    elif b.fact is not None and a.tri is True and op != "-":
+        f, k = b.fact, f"int({a.code})"
+    elif b.fact is not None and a.tri is True:
+        f = b.fact  # k - f
+        scale = "-1" if f.scale == "1" else f"-({f.scale})"
+        return _Fact(f.base, scale, f"int({a.code}) - ({f.offset})")
+    else:
+        return None
+    if op == "*":
+        scale = k if f.scale == "1" else f"({f.scale}) * {k}"
+        offset = "0" if f.offset == "0" else f"({f.offset}) * {k}"
+        return _Fact(f.base, scale, offset)
+    if op == "-":
+        k = f"-{k}"
+    return replace(f, offset=k if f.offset == "0" else f"{f.offset} + {k}")
+
+
 def _can_shrink(body: list[Stmt]) -> bool:
     """Whether executing ``body`` can retire lanes from the fall-through
     mask: a Return anywhere (loops propagate it), or a Break/Continue

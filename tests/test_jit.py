@@ -216,6 +216,39 @@ def test_corrupted_cache_entry_rejected_and_recompiled(tmp_path):
     )
 
 
+def test_cache_from_the_previous_codegen_version_is_never_served(
+    tmp_path, monkeypatch
+):
+    """A cache file written by the parent commit holds intact entries
+    under ``v<N-1>`` keys.  They are not damage (no reject) and not hits:
+    this commit compiles afresh next to them."""
+    import repro.interp.jit.compiler as compiler
+
+    monkeypatch.setattr(
+        compiler, "CODEGEN_VERSION", compiler.CODEGEN_VERSION - 1
+    )
+    stale_key = program_key(_straight(), (64, 1, 1), True)
+    monkeypatch.undo()
+    path = tmp_path / "jit.json"
+    old = CompileCache(path=path)
+    old.record(
+        stale_key,
+        "def _jit_span(ctx, counters):\n    raise SystemExit('stale')\n",
+        True, "straight",
+    )
+    old.save()
+
+    clear_memo()
+    cache = CompileCache.load(path)
+    before = dict(compile_stats)
+    prog = get_program(_straight(), (64, 1, 1), cache=cache)
+    delta = {k: compile_stats[k] - before[k] for k in compile_stats}
+    assert delta["compiles"] == 1
+    assert delta["cache_hits"] == 0 and delta["cache_rejects"] == 0
+    assert not prog.from_cache and "stale" not in prog.source
+    assert prog.key != stale_key and {prog.key, stale_key} <= set(cache.entries)
+
+
 def test_cache_digest_mismatch_is_detected_even_with_valid_shape(tmp_path):
     cache = CompileCache(path=tmp_path / "c.json")
     cache.record("k1", "SRC", True, "k")
