@@ -32,7 +32,7 @@ always correct and never communicates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,9 @@ __all__ = ["KernelAnalysis", "analyze_kernel", "finalize_plan"]
 #: during launch-time verification.
 MAX_FOOTPRINT_POINTS = 1 << 22
 
+#: Cap on finalized plans remembered per analysed kernel (oldest evicted).
+MAX_PLANS = 64
+
 
 @dataclass
 class KernelAnalysis:
@@ -68,6 +71,8 @@ class KernelAnalysis:
     kernel: Kernel
     metadata: KernelMetadata
     records: list[WriteRecord]
+    #: finalized plans, see :func:`finalize_plan` (bounded FIFO)
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def distributable(self) -> bool:
@@ -282,7 +287,36 @@ def finalize_plan(
 
     Any check that cannot be confirmed numerically degrades to a
     replicated plan (still correct, no communication).
+
+    The (frozen) plan is a pure function of its arguments and is kept on
+    ``analysis`` per ``(config, num_nodes, typed scalar args)``: a repeat
+    launch — the next served job, the next iteration — reuses it, and a
+    post-crash replan at a smaller node count is just another key.
+    Unhashable scalar arguments bypass the memo.
     """
+    key = (
+        config,
+        num_nodes,
+        tuple((n, type(v), v) for n, v in scalar_args.items()),
+    )
+    try:
+        plan = analysis.plans.get(key)
+    except TypeError:
+        return _build_plan(analysis, config, scalar_args, num_nodes)
+    if plan is None:
+        plan = _build_plan(analysis, config, scalar_args, num_nodes)
+        if len(analysis.plans) >= MAX_PLANS:
+            del analysis.plans[next(iter(analysis.plans))]
+        analysis.plans[key] = plan
+    return plan
+
+
+def _build_plan(
+    analysis: KernelAnalysis,
+    config: LaunchConfig,
+    scalar_args: dict[str, object],
+    num_nodes: int,
+) -> DistributionPlan:
     meta = analysis.metadata
     B = config.num_blocks
     if num_nodes <= 1:

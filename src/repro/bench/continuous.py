@@ -553,17 +553,24 @@ def bench_obs_overhead(size: str) -> dict:
     plus a deliberately-breaching SLO monitor (the heaviest hook path,
     including an in-memory flight-recorder dump) — and gates the
     tentpole's contract: the simulated makespan moves by exactly
-    ``0.0``, per-job identities are bit-equal, and the hooks add < 2%
-    work, measured as deterministic function-call counts
-    (``sys.setprofile``), not wall-clock.  Raw call counts are
-    interpreter-version-dependent, so they live in ungated
-    ``details``; the gated metrics are exact contract booleans plus
-    the deterministic ledger/SLO event counts."""
+    ``0.0``, per-job identities are bit-equal, and the hooks stay inside
+    an absolute budget of extra function calls per served job
+    (deterministic ``sys.setprofile`` counts, not wall-clock).  The
+    budget is absolute because the hooks' cost is: a ratio to the whole
+    serve's calls moves whenever the serve itself gets cheaper, with
+    the hooks unchanged to the call.  Raw call counts are
+    interpreter-version-dependent, so they live in ungated ``details``
+    (beside the old fraction, for reference); the gated metrics are
+    exact contract booleans plus the deterministic ledger/SLO event
+    counts."""
     import sys as _sys
 
     from repro.serve import ServeConfig, serve_requests, synth_requests
 
-    budget = 0.02
+    # extra calls per job the hooks may add: the measured cost
+    # (observatory + breaching SLO monitor 522, netflow 77, over 8 jobs)
+    # plus under 10% headroom
+    budget, nf_budget = 71, 10
     requests = synth_requests(
         "FIR:2,KMeans:1,Transpose:1", rate=2e6, jobs=8, nodes=2,
         size=size, seed=0,
@@ -605,11 +612,12 @@ def bench_obs_overhead(size: str) -> dict:
     # both paths warmed above; the counts isolate hook cost
     calls_off = count_calls(lambda: run(ServeConfig(nodes=6)))
     calls_on = count_calls(lambda: run(observed))
-    overhead = calls_on / calls_off - 1.0
-    if overhead > budget:
+    jobs = len(requests)
+    extra = calls_on - calls_off
+    if extra > budget * jobs:
         raise AssertionError(
-            f"observatory hooks add {overhead * 100:.2f}% more calls "
-            f"({calls_on} vs {calls_off}; budget {budget * 100:.0f}%)"
+            f"observatory hooks add {extra / jobs:.1f} calls per job "
+            f"({calls_on} vs {calls_off} over {jobs} jobs; budget {budget})"
         )
     # -- netflow leg: same contract for the flow ledger, on the
     # topology where it does the most work (an oversubscribed fat-tree)
@@ -635,11 +643,12 @@ def bench_obs_overhead(size: str) -> dict:
         lambda: run(ServeConfig(nodes=6, topology="fat-tree:2",
                                 netflow=True))
     )
-    nf_overhead = nf_calls_on / nf_calls_off - 1.0
-    if nf_overhead > budget:
+    nf_extra = nf_calls_on - nf_calls_off
+    if nf_extra > nf_budget * jobs:
         raise AssertionError(
-            f"netflow recording adds {nf_overhead * 100:.2f}% more calls "
-            f"({nf_calls_on} vs {nf_calls_off}; budget {budget * 100:.0f}%)"
+            f"netflow recording adds {nf_extra / jobs:.1f} calls per job "
+            f"({nf_calls_on} vs {nf_calls_off} over {jobs} jobs; "
+            f"budget {nf_budget})"
         )
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -661,13 +670,17 @@ def bench_obs_overhead(size: str) -> dict:
             "netflow_collectives": float(len(ft_flow.netflow)),
         },
         "details": {
-            "call_overhead_fraction": overhead,
+            "jobs": jobs,
+            "extra_calls": extra,
+            "budget_calls_per_job": budget,
+            "call_overhead_fraction": calls_on / calls_off - 1.0,
             "calls_plain": calls_off,
             "calls_observed": calls_on,
-            "netflow_call_overhead_fraction": nf_overhead,
+            "netflow_extra_calls": nf_extra,
+            "netflow_budget_calls_per_job": nf_budget,
+            "netflow_call_overhead_fraction": nf_calls_on / nf_calls_off - 1.0,
             "netflow_calls_plain": nf_calls_off,
             "netflow_calls_on": nf_calls_on,
-            "budget_fraction": budget,
             "note": "call counts depend on the interpreter version; "
                     "only the within-budget booleans are gated",
         },

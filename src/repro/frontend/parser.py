@@ -774,13 +774,32 @@ def _extract_step(e: Expr, var: str) -> Expr | None:
     return None
 
 
+#: source text -> its parsed kernels.  Parsing is a pure function of the
+#: text and the IR is treated as immutable downstream, so repeat parses
+#: (a served job re-building its workload) hand back the same objects —
+#: which is what lets the products the runtime and the JIT hang on a
+#: ``Kernel`` (compiled passes, specialization keys) be reused across
+#: jobs.  Bounded FIFO: a stream of distinct sources cannot grow it.
+_PARSED: dict[str, tuple[Kernel, ...]] = {}
+_PARSED_MAX = 64
+
+
 def parse_cuda(source: str) -> list[Kernel]:
-    """Parse CUDA source containing one or more ``__global__`` kernels."""
-    parser = _Parser(tokenize(source))
-    kernels = parser.parse_unit()
-    for k in kernels:
-        k.source = source
-    return kernels
+    """Parse CUDA source containing one or more ``__global__`` kernels.
+
+    The same source text yields the same ``Kernel`` objects (do not
+    mutate them); a source that fails to parse is never remembered, so
+    it raises its located :class:`~repro.errors.ParseError` every time.
+    """
+    kernels = _PARSED.get(source)
+    if kernels is None:
+        kernels = tuple(_Parser(tokenize(source)).parse_unit())
+        for k in kernels:
+            k.source = source
+        if len(_PARSED) >= _PARSED_MAX:
+            del _PARSED[next(iter(_PARSED))]
+        _PARSED[source] = kernels
+    return list(kernels)
 
 
 def parse_kernel(source: str) -> Kernel:

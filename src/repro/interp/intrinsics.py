@@ -10,13 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
-try:  # scipy is available in the evaluation environment but optional
-    from scipy.special import erf as _erf
-except ImportError:  # pragma: no cover - fallback path
-    _vec_erf = np.vectorize(__import__("math").erf)
+_erf_impl = None
 
-    def _erf(x):
-        return _vec_erf(x)
+
+def _erf(x):
+    """``erf``, resolved on first call: importing ``scipy.special`` costs
+    more than the rest of ``import repro.api`` put together and only
+    GELU-style kernels ever need it.  The table entry (and so the name
+    the JIT binds) is this stable wrapper."""
+    global _erf_impl
+    if _erf_impl is None:
+        try:  # scipy is available in the evaluation environment but optional
+            from scipy.special import erf as _erf_impl
+        except ImportError:  # pragma: no cover - fallback path
+            _erf_impl = np.vectorize(__import__("math").erf)
+    return _erf_impl(x)
 
 __all__ = ["INTRINSIC_IMPLS", "apply_intrinsic"]
 

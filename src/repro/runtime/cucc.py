@@ -434,6 +434,9 @@ class CuCCRuntime:
         :mod:`repro.transform.simplify`).  With ``sanitize`` on, the
         static race detector runs over the lowered IR and its report is
         attached as ``CompiledKernel.sanitizer_report``.
+
+        A ``Kernel`` is compiled once per process: treat it as immutable
+        once it has been handed to a runtime.
         """
         if kernel.name in self._compiled:
             cached = self._compiled[kernel.name]
@@ -443,22 +446,33 @@ class CuCCRuntime:
 
                     cached.sanitizer_report = sanitize_kernel(cached.kernel)
                 return cached
-        lowered = simplify_kernel(kernel)
-        analysis = analyze_kernel(lowered)
-        vect = analyze_vectorizability(lowered)
+        # the passes are pure functions of the IR: run them once per
+        # Kernel object and carry the products on it (as get_program does
+        # with ``_jit_keys``), so every runtime in the process — one per
+        # served job — shares them; their lifetime is the kernel's
+        passes = getattr(kernel, "_cucc_passes", None)
+        if passes is None:
+            lowered = simplify_kernel(kernel)
+            analysis = analyze_kernel(lowered)
+            vect = analyze_vectorizability(lowered)
+            passes = kernel._cucc_passes = {
+                "kernel": lowered,
+                "analysis": analysis,
+                "vectorization": vect,
+                "kernel_module_src": generate_kernel_module(lowered, vect),
+                "host_module_src": generate_host_module(
+                    lowered, analysis.metadata
+                ),
+            }
+        analysis, vect = passes["analysis"], passes["vectorization"]
         report = None
         if self.sanitize:
             from repro.sanitize import sanitize_kernel
 
-            report = sanitize_kernel(lowered)
+            report = sanitize_kernel(passes["kernel"])
+        # the shell (and with it the sanitizer report) is this runtime's
         compiled = CompiledKernel(
-            kernel=lowered,
-            analysis=analysis,
-            vectorization=vect,
-            kernel_module_src=generate_kernel_module(lowered, vect),
-            host_module_src=generate_host_module(lowered, analysis.metadata),
-            original_kernel=kernel,
-            sanitizer_report=report,
+            **passes, original_kernel=kernel, sanitizer_report=report
         )
         self._compiled[kernel.name] = compiled
         if self.tracer.enabled:

@@ -15,12 +15,17 @@ What jobs *do* share: one persistent
 :class:`~repro.tuning.cache.TuningCache` (so the ``"auto"`` Allgather
 resolves identically everywhere) and one
 :class:`~repro.interp.jit.cache.CompileCache` (compile once, serve
-many — a warm cache serves repeat jobs with zero recompiles).  Neither
-can change what a job computes, only how fast the host serves it.
+many — a warm cache serves repeat jobs with zero recompiles).  And,
+like any runtimes in one process, the compiler's work: a job's fresh
+spec re-uses the ``Kernel`` its source parsed to the first time, and
+with it the compiled passes, JIT keys and distribution plans that hang
+on that object (DESIGN.md §2.1).  None of these can change what a job
+computes, only how fast the host serves it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import itertools
@@ -146,6 +151,39 @@ class JobResult:
         return out
 
 
+#: glibc ``mallopt`` parameters and the values its own dynamic
+#: adjustment tops out at (a 32 MiB mmap threshold, twice that to trim)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+@functools.cache
+def _retain_heap() -> bool:
+    """Ask glibc to recycle freed buffers instead of unmapping them.
+
+    Every job allocates and frees the same few MiB of NumPy buffers
+    (node memories, JIT temporaries, the reference).  By default glibc
+    maps each block over 128 KiB afresh and trims the heap top on free,
+    so a job page-faults in every page it touches (a small Transpose:
+    800-1 050 faults) and how much of that it pays depends on where the
+    heap top happens to sit — host time per job then differs by 5 %
+    between two processes running the same requests.  Pinning the
+    thresholds makes a served job's host cost the same in every
+    process.  Once per process, best effort: a no-op where the C
+    library has no ``mallopt``.
+    """
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError):
+        return False
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
+    )
+
+
 class CuCCServer:
     """Admission + packing + pipelining over one simulated service pool."""
 
@@ -154,6 +192,7 @@ class CuCCServer:
             config = ServeConfig(**kwargs)
         elif kwargs:
             raise ServeError("pass either a ServeConfig or kwargs, not both")
+        _retain_heap()
         from repro.hw.specs import CLUSTERS
 
         if config.cluster not in CLUSTERS:

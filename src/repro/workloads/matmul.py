@@ -21,8 +21,16 @@ from repro.workloads.base import WorkloadSpec
 __all__ = ["build", "build_kernel"]
 
 
+_KERNEL = None
+
+
 def build_kernel():
-    """Build the matmul kernel IR via the Python DSL."""
+    """The matmul kernel IR, built once via the Python DSL: every caller
+    gets the same ``Kernel`` object (the DSL's counterpart of the
+    parser's same-source-same-object rule)."""
+    global _KERNEL
+    if _KERNEL is not None:
+        return _KERNEL
 
     @kernel(name="matmul", A=ptr(F32), B=ptr(F32), C=ptr(F32), n=I32, k=I32,
             chunks=I32)
@@ -35,6 +43,7 @@ def build_kernel():
                 b.assign(acc, acc + b.load(A, row * k + i) * b.load(B, i * n + col))
             b.store(C, row * n + col, acc)
 
+    _KERNEL = matmul
     return matmul
 
 

@@ -39,6 +39,51 @@ __global__ void scale(const float *x, float *y, int n) {
     assert rec.time > 0
 
 
+_NO_SCIPY_UNTIL_ERF = """
+import sys
+import numpy as np
+import repro.api as api
+from repro.bench.harness import run_on_cucc
+from repro.workloads import PERF_WORKLOADS
+
+run_on_cucc(PERF_WORKLOADS["FIR"]("small", seed=0),
+            api.make_cluster("simd-focused", 2))
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+
+from repro.interp import LaunchConfig, run_grid
+from repro.workloads.ai_models import BERT_KERNELS
+from repro.workloads.bert_app import _gelu
+from repro.workloads.heteromark import build_kernel
+
+gelu = build_kernel(next(z for z in BERT_KERNELS if z.name == "bert_gelu"))
+x = 3 * np.random.default_rng(0).standard_normal(256).astype(np.float32)
+for backend in ("interp", "jit"):
+    y = np.zeros_like(x)
+    run_grid(gelu, LaunchConfig.make(2, 128), {"x": x, "y": y, "n": 256},
+             backend=backend)
+    assert np.array_equal(y, _gelu(x)), backend
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_scipy_is_imported_by_the_first_erf_not_by_the_package():
+    """``import repro.api`` and a kernel run that never calls ``erf``
+    load no SciPy module (it used to be over half the import); the first
+    ``erf`` — BERT's GELU, on either backend — resolves it and still
+    matches the SciPy reference bit for bit."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(api.__file__))
+    subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_UNTIL_ERF],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True, timeout=120,
+    )
+
+
 def test_dsl_reexported():
     from repro.ir import F32, I32
 

@@ -287,6 +287,11 @@ def test_tail_divergent_kernel_survives_crash():
     res = run_on_cucc(spec_fir, _cluster(), fault_plan=plan)
     assert res.record.recoveries == 1
     assert not res.record.plan.replicated  # re-planned, still distributed
+    # the fault-free run's memoised 4-node plan was not reused: the
+    # replan is for the survivors, and partitions all seven full blocks
+    assert ref.record.plan.num_nodes == NODES
+    assert res.record.plan.num_nodes == NODES - 1
+    assert res.record.plan.p_size > ref.record.plan.p_size
     out = {
         o: res.runtime.memory.memcpy_d2h(o, check_consistency=True)
         for o in spec_fir.outputs

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DSLError, ParseError
 from repro.frontend.dsl import kernel as dsl_kernel, ptr
@@ -233,6 +235,56 @@ def test_parse_error_has_location():
         assert "line 2" in str(e)
     else:  # pragma: no cover
         pytest.fail("expected ParseError")
+
+
+# ---------------------------------------------------------------------------
+# same source, same objects
+# ---------------------------------------------------------------------------
+VEC_COPY = """
+__global__ void vec_copy(const char *src, char *dest, int n) {
+    int id = blockDim.x * blockIdx.x + threadIdx.x;
+    if (id < n) dest[id] = src[id];
+}
+"""
+
+
+def test_same_source_parses_to_the_same_kernel_objects():
+    a, b = parse_kernel(VEC_COPY), parse_kernel(VEC_COPY)
+    assert a is b and a.source == VEC_COPY
+    two = VEC_COPY + VEC_COPY.replace("vec_copy", "vec_copy2")
+    first, second = parse_cuda(two), parse_cuda(two)
+    assert first is not second  # callers own the list ...
+    assert all(x is y for x, y in zip(first, second))  # ... not the IR
+    assert [k.name for k in first] == ["vec_copy", "vec_copy2"]
+    # a different text is a different kernel, equal IR or not
+    other = parse_kernel(VEC_COPY + "\n")
+    assert other is not a and other.body == a.body
+
+
+def test_parse_error_is_raised_again_not_remembered():
+    bad = "__global__ void k(float *y) {\n  y[0] = zzz;\n}"
+    for _ in range(2):
+        with pytest.raises(ParseError, match="undeclared") as e:
+            parse_kernel(bad)
+        assert (e.value.line, e.value.col) == (2, 10)
+    # two kernels where one was asked for: parsed fine, refused every time
+    two = VEC_COPY + VEC_COPY.replace("vec_copy", "vec_copy2")
+    for _ in range(2):
+        with pytest.raises(ParseError, match="exactly 1 kernel"):
+            parse_kernel(two)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_parse_memo_stays_bounded(n):
+    """A stream of distinct sources (one per served job, say) cannot grow
+    the memo; the newest source is always the one remembered."""
+    from repro.frontend import parser
+
+    src = f"__global__ void k(int *y) {{ y[0] = {n}; }}"
+    k = parse_kernel(src)
+    assert len(parser._PARSED) <= parser._PARSED_MAX
+    assert parse_kernel(src) is k
 
 
 # ---------------------------------------------------------------------------

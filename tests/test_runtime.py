@@ -157,7 +157,11 @@ def test_forced_misclassification_degrades_safely():
     that still computes the right answer on every node."""
     cl = Cluster(SIMD_FOCUSED_NODE, 3)
     rt = CuCCRuntime(cl)
-    compiled = rt.compile(parse_kernel(VEC_COPY))
+    # a kernel of this test's own: same-source parses share one Kernel,
+    # and with it the analysis forged below
+    compiled = rt.compile(
+        parse_kernel(VEC_COPY.replace("vec_copy", "vec_copy_forged"))
+    )
     # force the static verdict to "not distributable"
     from repro.analysis.metadata import Verdict
 
@@ -194,6 +198,134 @@ def test_compile_is_cached():
     rt = CuCCRuntime(cl)
     k = parse_kernel(VEC_COPY)
     assert rt.compile(k) is rt.compile(k)
+
+
+# ---------------------------------------------------------------------------
+# compile once per process: what runtimes share, and what they do not
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("order", [(True, False), (False, True)])
+def test_sanitizing_and_plain_runtimes_share_passes_not_reports(order):
+    from repro.analysis.distributable import analyze_kernel
+    from repro.transform.simplify import simplify_kernel
+
+    # one cold kernel per order: the name makes the source text distinct
+    k = parse_kernel(HIST.replace("hist", f"hist_{int(order[0])}"))
+    compiled = {
+        sanitize: CuCCRuntime(
+            Cluster(SIMD_FOCUSED_NODE, 2), sanitize=sanitize
+        ).compile(k)
+        for sanitize in order
+    }
+    assert compiled[True].sanitizer_report is not None
+    assert compiled[False].sanitizer_report is None
+    assert compiled[True] is not compiled[False]
+    for shared in ("kernel", "analysis", "vectorization",
+                   "kernel_module_src", "host_module_src"):
+        assert getattr(compiled[True], shared) is getattr(
+            compiled[False], shared
+        )
+    assert compiled[True].original_kernel is k
+    # the sanitizer only read the shared products
+    assert compiled[False].analysis == analyze_kernel(simplify_kernel(k))
+
+
+def _fir_analysis():
+    """A private analysis of FIR (not the one runtimes share), so the
+    plans counted below are this test's alone."""
+    from repro.analysis.distributable import analyze_kernel
+    from repro.transform.simplify import simplify_kernel
+    from repro.workloads import PERF_WORKLOADS
+
+    return analyze_kernel(simplify_kernel(PERF_WORKLOADS["FIR"]("small").kernel))
+
+
+def test_plan_memo_keys_on_geometry_nodes_and_typed_scalars():
+    from repro.analysis import distributable
+    from repro.interp import LaunchConfig
+
+    analysis = _fir_analysis()
+    config = LaunchConfig.make(8, 256)
+
+    def plan(nodes=4, **scalars):
+        args = {"num_taps": 32, "n": 2000, **scalars}
+        got = distributable.finalize_plan(analysis, config, args, nodes)
+        assert got == distributable._build_plan(analysis, config, args, nodes)
+        return got
+
+    base = plan()
+    assert plan() is base and len(analysis.plans) == 1
+    # a scalar one apart is another launch, same plan value or not
+    assert plan(n=2001) is not base and len(analysis.plans) == 2
+    assert plan(n=2048).full_blocks == 8 != base.full_blocks
+    # 5 == np.int32(5) == np.int64(5) and True == 1 hash alike: the type
+    # is part of the key
+    seen = [plan(num_taps=v) for v in (5, np.int32(5), np.int64(5))]
+    seen += [plan(num_taps=v) for v in (1, True)]
+    assert len({id(p) for p in seen}) == 5 and len(analysis.plans) == 8
+    # a shrunk cluster (crash recovery) is another key, another partition
+    assert plan(nodes=3).p_size == 2 and base.p_size == 1
+    assert plan(nodes=3) is plan(nodes=3) and len(analysis.plans) == 9
+    # another geometry too
+    other = distributable.finalize_plan(
+        analysis, LaunchConfig.make(4, 256), {"num_taps": 32, "n": 2000}, 4
+    )
+    assert other.num_blocks == 4 and len(analysis.plans) == 10
+
+
+def test_plan_memo_is_bounded_and_skips_unhashable_scalars():
+    from repro.analysis import distributable
+    from repro.interp import LaunchConfig
+
+    analysis = _fir_analysis()
+    config = LaunchConfig.make(8, 256)
+    for n in range(1800, 1800 + 2 * distributable.MAX_PLANS):
+        distributable.finalize_plan(
+            analysis, config, {"num_taps": 32, "n": n}, 4
+        )
+    assert len(analysis.plans) == distributable.MAX_PLANS
+    analysis = _fir_analysis()
+    # a 0-d array is a fine scalar and no dict key
+    args = {"num_taps": 32, "n": np.array(2000)}
+    got = distributable.finalize_plan(analysis, config, args, 4)
+    assert got.full_blocks == 7 and not analysis.plans
+
+
+_COLD_WARM_SERVE = """
+import hashlib, json
+from repro.obs.export import chrome_trace
+from repro.obs.tracer import SpanKind
+from repro.serve import CuCCServer, ServeConfig, synth_requests
+
+reqs = synth_requests("FIR:2,KMeans:1,Transpose:1", rate=2e6, jobs=8,
+                      nodes=2, size="small", seed=0)
+for _ in range(2):  # first serve: nothing parsed or compiled yet
+    srv = CuCCServer(ServeConfig(nodes=6, trace=True))
+    srv.run(reqs)
+    compiles = sum(s.kind is SpanKind.COMPILE for s in srv.tracer.spans)
+    doc = json.dumps(chrome_trace(srv.tracer), sort_keys=True, indent=1)
+    print(compiles, hashlib.sha256(doc.encode()).hexdigest())
+"""
+
+
+def test_traced_serve_is_byte_identical_cold_and_warm():
+    """Every job still gets its own COMPILE span — the shell is per
+    runtime — and the exported trace cannot tell a first serve in a
+    fresh process (every pass runs) from a second (none does)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_WARM_SERVE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    cold, warm = out[:2], out[2:]
+    assert cold[0] == "8"
+    assert cold == warm
 
 
 def test_sequential_launches_preserve_invariant():

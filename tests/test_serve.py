@@ -300,6 +300,44 @@ def test_serve_serially_leaves_the_callers_config_unchanged():
     assert dataclasses.asdict(cfg) == before and cfg.pipeline is True
 
 
+_REPEAT_SERVES = """
+import resource
+from repro.serve import CuCCServer, ServeConfig, synth_requests
+from repro.serve.server import _retain_heap
+
+reqs = synth_requests("Transpose:1", rate=1e6, jobs=24, nodes=2,
+                      size="small", seed=1)
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    CuCCServer(ServeConfig(nodes=8)).run(reqs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(int(_retain_heap()), *faults)
+"""
+
+
+def test_a_repeat_serve_recycles_its_buffers_instead_of_refaulting_them():
+    """Once warm, a served job's buffers come from the retained heap: a
+    small Transpose job faults in ~800 pages when every free is handed
+    back to the kernel, and how many is an accident of the heap layout —
+    which made host time per job differ between processes."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    retained, *faults = map(int, subprocess.run(
+        [sys.executable, "-c", _REPEAT_SERVES],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split())
+    if not retained:
+        pytest.skip("the C library has no mallopt")
+    assert faults[2] < 24 * 50, faults
+
+
 # -- shared caches ------------------------------------------------------
 
 
