@@ -650,11 +650,12 @@ def _cmd_jit(args: argparse.Namespace) -> int:
             r.interp_s * 1e3,
             r.jit_s * 1e3,
             r.speedup,
+            " ".join(f"{k}={v}" for k, v in r.features.items() if v) or "-",
             "ok" if r.identical else "DIVERGED",
         ])
     print(format_table(
         ["kernel", "mask-free", "compile ms", "interp ms", "jit ms",
-         "speedup", "differential"],
+         "speedup", "strategies", "differential"],
         rows,
     ))
     delta = {k: compile_stats[k] - before[k] for k in compile_stats}

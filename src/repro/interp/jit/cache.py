@@ -11,6 +11,7 @@ atomically as a whole.  One entry per specialization key (see
         "fir@1a2b...": {
           "kernel": "fir",
           "mask_free": true,
+          "features": {"tile": 0, "repeat": 0, "slice": 1, ...},
           "sha256": "<hex digest of source>",
           "source": "KNAME = 'fir'\\n..."
         }
@@ -72,6 +73,7 @@ class CompileCache(JsonEntryStore):
         if (
             not isinstance(source, str)
             or not isinstance(entry.get("mask_free"), bool)
+            or not isinstance(entry.get("features"), dict)
             or entry.get("sha256") != source_digest(source)
         ):
             self.rejected += 1
@@ -81,11 +83,13 @@ class CompileCache(JsonEntryStore):
         return entry
 
     def record(
-        self, key: str, source: str, mask_free: bool, kernel_name: str
+        self, key: str, source: str, mask_free: bool, kernel_name: str,
+        features: dict[str, int] | None = None,
     ) -> None:
         self.entries[key] = {
             "kernel": kernel_name,
             "mask_free": bool(mask_free),
+            "features": dict(features or {}),
             "sha256": source_digest(source),
             "source": source,
         }

@@ -45,7 +45,7 @@ import hashlib
 import itertools
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +54,26 @@ from repro.errors import InterpError, JITError, JITUnsupported
 from repro.interp.counters import OpCounters
 from repro.interp.intrinsics import INTRINSIC_IMPLS
 from repro.interp.jit.divergence import DivergenceFacts, analyze_divergence
+from repro.interp.jit.memory import MemoryEmitter
+from repro.interp.jit.plan import (
+    FEATURES,
+    SPARSE_OCCUPANCY,
+    TILE,
+    UNIFORM,
+    Fact,
+    LoopCtx,
+    Mask,
+    MergeLedger,
+    MergePlan,
+    Val,
+    affine,
+    can_shrink,
+    geom_of,
+    has_break_at_level,
+    loop_assigned,
+    sparse_plan,
+    tri_all,
+)
 from repro.interp.machine import MAX_LOOP_ITERS, _c_int_div, _c_int_mod, apply_atomic_op
 from repro.ir.expr import (
     BinOp,
@@ -94,13 +114,12 @@ __all__ = [
     "program_key",
     "generate_source",
     "compile_closure",
-    "compile_program",
     "base_namespace",
 ]
 
 #: Bumped whenever generated code changes shape — part of the cache key,
 #: so stale persistent-cache entries can never be replayed.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 _COUNTER_FIELDS = tuple(f.name for f in fields(OpCounters))
 
@@ -124,9 +143,14 @@ _STATIC_SREGS = {
     SRegKind.NCTAID_Z: "nctaid_z",
 }
 
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+_SREG_GEOM = {
+    SRegKind.TID_X: TILE,
+    SRegKind.CTAID_X: UNIFORM,
+    SRegKind.CTAID_Y: UNIFORM,
+    SRegKind.CTAID_Z: UNIFORM,
+}
 
-_INT_LITERAL = re.compile(r"-?\d+$").match
+_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 class _Undef:
@@ -175,6 +199,9 @@ class JITProgram:
     kernel_name: str
     source: str
     mask_free: bool
+    #: how many sites each strategy of :data:`plan.FEATURES` was printed
+    #: at (static counts: which branch runs is the span's to decide)
+    features: dict[str, int] = field(default_factory=dict)
     fn: object | None = None
     from_cache: bool = False
 
@@ -215,122 +242,26 @@ def compile_closure(source: str, kernel_name: str):
         ) from e
 
 
-def compile_program(kernel: Kernel, block, bounds_check: bool = True) -> JITProgram:
-    """Generate, compile and wrap one kernel specialization."""
-    source, mask_free = generate_source(kernel)
-    prog = JITProgram(
-        key=program_key(kernel, block, bounds_check),
-        kernel_name=kernel.name,
-        source=source,
-        mask_free=mask_free,
-    )
-    prog.fn = compile_closure(source, kernel.name)
-    return prog
-
-
 # ---------------------------------------------------------------------------
 # codegen
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Fact:
-    """Index fact: the value equals ``scale * base + offset`` on every
-    lane as exact integers, modulo the width of the value's dtype.
+class Generated(NamedTuple):
+    """What :func:`generate_source` returns."""
 
-    ``base`` is the name of a lane-shaped int32/int64 variable or
-    special register; ``scale`` and ``offset`` are Python-``int`` source
-    text built from ``int(<0-d value>)`` atoms.  NumPy's fixed-width
-    ``+ - *`` are the ring operations, so the congruence survives any
-    wrapped intermediate: once the *exact* value is shown to fit the
-    dtype on every lane, it is the value the vector code computed."""
-
-    base: str
-    scale: str = "1"
-    offset: str = "0"
-
-
-@dataclass(frozen=True)
-class _Val:
-    """An emitted expression: its code (a name or atomic expression),
-    its *runtime* NumPy dtype, its scalar-ness tri-state (``True`` =
-    provably 0-d, ``False`` = provably lane-shaped, ``None`` = unknown
-    at compile time), and its index fact when it has one."""
-
-    code: str
-    np: object
-    tri: bool | None
-    fact: _Fact | None = None
-
-
-@dataclass(frozen=True)
-class _Idx:
-    """A sanitized index as the access sites consume it: the variable
-    holding it, whether it is statically 0-d, and — when an index fact
-    proved it — ``(flag, lo, hi)``: at run time, if ``flag`` then the
-    active lanes' indices span exactly ``[lo, hi]`` (Python ints)."""
-
-    safe: str
-    uniform: bool = False
-    act: tuple[str, str, str] | None = None
-
-
-class _Proof(NamedTuple):
-    """Names bound by :meth:`_Codegen.prove` (all Python scalars at run
-    time).  ``ok``: the exact index fits its dtype and lies in
-    ``[0, extent)`` on *every* lane, ``[lo, hi]`` being its exact range
-    — so the sanitized index is the index.  ``unit``: the hoisted "base
-    is ``lo, lo+1, ...``" flag, or ``None`` if not asked for or the
-    scale is not 1.  ``act``: the :class:`_Idx` triple, or ``None``."""
-
-    ok: str
-    lo: str
-    hi: str
-    unit: str | None
-    act: tuple[str, str, str] | None
-
-
-@dataclass
-class _Loop:
-    """One enclosing loop of the emission point: its break mask, the
-    variables its body reassigns and, for the invariant-bounds form, the
-    preheader ``slot`` (a line list spliced in before the ``for``) that
-    per-span facts about loop-invariant bases are hoisted to.  ``mask``
-    is the body mask when that is the entry mask on every iteration."""
-
-    bk: str | None
-    kills: frozenset
-    slot: list | None = None
-    ind: int = 0
-    mask: str | None = None
-    memo: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class _Mask:
-    """An emitted lane mask: the bool-array variable, the name of its
-    float active-count (valid only for statement-level masks), and
-    whether it is provably all-true."""
-
-    var: str
-    n: str
-    full: bool
-
-
-def _tri_all(*tris) -> bool | None:
-    if any(t is False for t in tris):
-        return False
-    if all(t is True for t in tris):
-        return True
-    return None
+    source: str
+    mask_free: bool
+    features: dict[str, int]
 
 
 def generate_source(
     kernel: Kernel, facts: DivergenceFacts | None = None
-) -> tuple[str, bool]:
+) -> Generated:
     """Generate the specialized module source for ``kernel``.
 
-    Returns ``(source, mask_free)`` where ``mask_free`` records that the
-    emitted code never materialized a statement-level divergence mask —
-    the "straight-line" fast path.  Raises
+    Returns ``(source, mask_free, features)`` where ``mask_free``
+    records that the emitted code never materialized a statement-level
+    divergence mask — the "straight-line" fast path — and ``features``
+    counts the sites each planned strategy was printed at.  Raises
     :class:`~repro.errors.JITUnsupported` for kernels the codegen cannot
     mirror exactly.
     """
@@ -339,11 +270,13 @@ def generate_source(
     return _Codegen(kernel, facts).generate()
 
 
-class _Codegen:
+class _Codegen(MemoryEmitter):
     def __init__(self, kernel: Kernel, facts: DivergenceFacts):
         self.k = kernel
         self.facts = facts
-        self.lines: list[str | list[str]] = []  # lists: preheader slots
+        # lists are slots filled or rewritten later: preheaders, and
+        # merges awaiting the ledger
+        self.lines: list[str | list[str]] = []
         self.ind = 3  # def (1) + try (2) + errstate-with (3)
         self._ids = itertools.count()
         # pools rendered as module-level assignments
@@ -357,13 +290,16 @@ class _Codegen:
         self.used_counters: set[str] = set()
         self.need_span = False
         self.need_ret = False
+        self.need_tpb = False
+        self.intrinsics: set[str] = set()  # declared ``_in_<name>`` aliases
         # static var state
         self.var_types: dict[str, DType] = {}
         self.assigned: set[str] = set()  # definitely assigned here
         self.tri: dict[str, bool | None] = {}
+        self.geom: dict[str, str] = {}  # lane-geometry hint of a variable
         self.shared_decls: set[str] = set()
         self.local_decls: set[str] = set()
-        self.loops: list[_Loop] = []  # enclosing loops, innermost last
+        self.loops: list[LoopCtx] = []  # enclosing loops, innermost last
         # False while emitting operands that outlive a buffer mutation
         # (atomic operands, loop bounds): those must not be slice views
         self.views = True
@@ -375,6 +311,15 @@ class _Codegen:
         # sanitized indices, line-traffic amounts.  Counter *adds* are
         # never CSE'd, only the value computations feeding them.
         self.cse: dict[tuple, str] = {}
+        # plans (repro.interp.jit.plan): strategy counts, the read /
+        # merge ledger, whether an index is being evaluated for deferral,
+        # and the "every lane" count merges compare against (the gathered
+        # lane count inside a sparse loop)
+        self.features = dict.fromkeys(FEATURES, 0)
+        self.ledger = MergeLedger()
+        self.lazy = False
+        self.nlf = "_nlf"
+        self.counts: list[tuple[str, str]] = []  # emit_n (name, line)
 
     # -- small emission helpers ----------------------------------------
     def w(self, line: str) -> None:
@@ -412,12 +357,15 @@ class _Codegen:
         return f"T_{np.dtype(np_dtype).name}"
 
     def const(self, dtype: DType, value) -> str:
-        key = (np.dtype(dtype.np).name, repr(value))
+        return self.const_code(dtype.np, f"{self.ctor(dtype.np)}({value!r})")
+
+    def const_code(self, np_dtype, code: str) -> str:
+        """Module-level constant for ``code`` (source over other module
+        constants only), pooled per dtype and source."""
+        key = (np.dtype(np_dtype).name, code)
         if key not in self.consts:
-            var = f"K{len(self.consts)}"
-            ctor = self.ctor(dtype.np)
-            self.consts[key] = var
-            self.const_lines.append(f"{var} = {ctor}({value!r})")
+            var = self.consts[key] = f"K{len(self.consts)}"
+            self.const_lines.append(f"{var} = {code}")
         return self.consts[key]
 
     def count(self, field: str, amount_code: str) -> None:
@@ -427,7 +375,43 @@ class _Codegen:
         self.w(f"_c_{field} += {amount_code}")
 
     def emit_n(self, mask_var: str) -> str:
-        return self.bind(f"float(np.count_nonzero({mask_var}))", "n")
+        """Bind the active count of a mask, remembering the line so
+        :meth:`generate` can drop a count nothing turned out to meter."""
+        n = self.bind(f"float(np.count_nonzero({mask_var}))", "n")
+        self.counts.append((n, self.lines[-1]))
+        return n
+
+    def narrowed(self, var: str, parent: Mask) -> Mask:
+        """The statement-level mask ``var``, a subset of ``parent``."""
+        return Mask(var, self.emit_n(var), False, parent, len(self.loops))
+
+    def mask(self, m: Mask) -> str:
+        """Bind an expression-level mask on its first reader."""
+        if m.lazy is not None:
+            cond, m.lazy = m.lazy, None
+            self.w(f"{m.var} = {self.mask(m.parent)} & {cond}")
+        return m.var
+
+    def force(self, *vals: Val) -> None:
+        """Print the deferred lines of index values here (once per
+        branch that reads them; the temps are branch-local)."""
+        for v in vals:
+            for line in v.pending:
+                self.w(line)
+
+    def chain(self, arms) -> None:
+        """Print ``(condition, emit)`` arms as an if/elif/else chain; an
+        arm whose condition is ``"True"`` closes it (bare if first)."""
+        for i, (cond, emit) in enumerate(arms):
+            last = cond == "True"
+            if last and not i:
+                emit()
+                return
+            self.w("else:" if last else f"{'elif' if i else 'if'} {cond}:")
+            with self.indent():
+                emit()
+            if last:
+                return
 
     @contextmanager
     def cse_scope(self):
@@ -463,7 +447,7 @@ class _Codegen:
         ]:
             del self.cse[key]
 
-    def cast(self, v: _Val, target) -> _Val:
+    def cast(self, v: Val, target) -> Val:
         """The interpreter's ``np.asarray(x).astype(dt, copy=False)``,
         elided when the runtime dtype already matches (identity astype
         returns the same object — unobservable), pooled per (value,
@@ -471,19 +455,24 @@ class _Codegen:
         target = np.dtype(target)
         if v.np == target:
             return v
-        key = ("cast", v.code, target.name)
-        t = self.cse.get(key)
-        if t is None:
-            t = self.bind(
-                f"np.asarray({v.code}).astype({self.dt(target)}, copy=False)"
-            )
-            self.cse[key] = t
+        code = f"np.asarray({v.code}).astype({self.dt(target)}, copy=False)"
+        if v.code in self.consts.values():
+            # a cast of a module constant is a module constant
+            return Val(self.const_code(target, code), target, True)
         # a fact lives in one integer ring; only the base itself widens
         # exactly (``(long)gid``) without a range obligation
-        bare = v.fact == _Fact(v.code) and target == _I64
-        return _Val(t, target, v.tri, v.fact if bare else None)
+        fact = v.fact if target == _I64 and v.fact and v.fact.bare(v.code) else None
+        key = ("cast", v.code, target.name)
+        t = self.cse.get(key)
+        if t is None and self.lazy and fact and v.tri is not True:
+            t = self.tmp()  # a deferred index: unpooled, branch-local
+            return Val(t, target, v.tri, fact, (f"{t} = {code}",))
+        if t is None:
+            self.force(v)
+            t = self.cse[key] = self.bind(code)
+        return Val(t, target, v.tri, fact)
 
-    def truthy(self, v: _Val) -> _Val:
+    def truthy(self, v: Val) -> Val:
         if v.np == _BOOL:
             return v
         key = ("truthy", v.code)
@@ -491,14 +480,17 @@ class _Codegen:
         if t is None:
             t = self.bind(f"({v.code} != 0)")
             self.cse[key] = t
-        return _Val(t, _BOOL, v.tri)
+        return Val(t, _BOOL, v.tri)
 
-    def refine(self, m: _Mask, cond_code: str) -> _Mask:
+    def refine(self, m: Mask, cond_code: str) -> Mask:
         """Expression-level mask refinement (Select arms, ``&&``/``||``
         RHS).  Stays lane-shaped: always ANDed onto the statement mask.
-        No active count is attached — refined masks never meter."""
-        mv = self.bind(f"{m.var} & {cond_code}", "m")
-        return _Mask(mv, "", False)
+        No active count is attached — refined masks never meter — and
+        nothing is printed until a load in the arm reads it
+        (:meth:`mask`)."""
+        return Mask(
+            self.tmp("m"), "", False, m, len(self.loops), lazy=cond_code
+        )
 
     # -- unsupported ----------------------------------------------------
     def fail(self, why: str) -> JITUnsupported:
@@ -576,24 +568,25 @@ class _Codegen:
         raise self.fail(f"unsupported pointer expression {type(ptr).__name__}")
 
     # -- expressions ----------------------------------------------------
-    def ex(self, e: Expr, m: _Mask, n: str) -> _Val:
+    def ex(self, e: Expr, m: Mask, n: str) -> Val:
         if isinstance(e, Const):
-            return _Val(self.const(e.type, e.value), np.dtype(e.type.np), True)
+            return Val(self.const(e.type, e.value), np.dtype(e.type.np), True)
         if isinstance(e, SReg):
             if e.kind in _LANE_SREGS:
                 var = f"sr_{_LANE_SREGS[e.kind]}"
                 self.used_sregs[e.kind] = var
-                return _Val(var, np.dtype(np.int32), False, _Fact(var))
+                geom = _SREG_GEOM.get(e.kind, "")
+                return Val(var, np.dtype(np.int32), False, Fact(var, geom=geom))
             var = f"sg_{_STATIC_SREGS[e.kind]}"
             self.used_sregs[e.kind] = var
-            return _Val(var, np.dtype(np.int32), True)
+            return Val(var, np.dtype(np.int32), True)
         if isinstance(e, Param):
             if e.is_pointer:
                 raise self.fail(
                     f"pointer parameter {e.name!r} evaluated as a scalar"
                 )
             self.used_scalars.add(e.name)
-            return _Val(f"p_{e.name}", np.dtype(e.type.np), True)
+            return Val(f"p_{e.name}", np.dtype(e.type.np), True)
         if isinstance(e, Var):
             if e.is_pointer:
                 raise self.fail(
@@ -604,32 +597,34 @@ class _Codegen:
                 # never assigned anywhere: the interpreter faults on
                 # every execution
                 self.w(f"_undef_read(KNAME, {e.name!r})")
-                return _Val(f"v_{e.name}", np.dtype(e.type.np), None)
+                return Val(f"v_{e.name}", np.dtype(e.type.np), None)
             if e.name not in self.assigned:
                 self.w(f"if v_{e.name} is _UNDEF:")
                 with self.indent():
                     self.w(f"_undef_read(KNAME, {e.name!r})")
+            self.ledger.read(e.name, m)
             var, npdt, tri = f"v_{e.name}", np.dtype(dt.np), self.tri.get(e.name)
             base = (
                 tri is False and e.name in self.assigned
                 and npdt.kind == "i" and npdt.itemsize >= 4
             )
-            return _Val(var, npdt, tri, _Fact(var) if base else None)
+            fact = Fact(var, geom=self.geom.get(e.name, "")) if base else None
+            return Val(var, npdt, tri, fact)
         if isinstance(e, BinOp):
             return self.ex_binop(e, m, n)
         if isinstance(e, UnOp):
             v = self.ex(e.operand, m, n)
             if e.op == "-":
                 self.count("flops" if e.dtype.is_float else "int_ops", n)
-                return _Val(self.bind(f"np.negative({v.code})"), v.np, v.tri)
+                return Val(self.bind(f"np.negative({v.code})"), v.np, v.tri)
             if e.op == "!":
                 self.count("int_ops", n)
                 tv = self.truthy(v)
-                return _Val(self.bind(f"~({tv.code})"), _BOOL, v.tri)
+                return Val(self.bind(f"~({tv.code})"), _BOOL, v.tri)
             # '~'
             self.count("int_ops", n)
             cv = self.cast(v, e.dtype.np)
-            return _Val(
+            return Val(
                 self.bind(f"np.invert({cv.code})"), np.dtype(e.dtype.np), v.tri
             )
         if isinstance(e, Cast):
@@ -651,7 +646,8 @@ class _Codegen:
             if e.name not in INTRINSIC_IMPLS:
                 raise self.fail(f"unknown intrinsic {e.name!r}")
             impl = f"_in_{e.name}"
-            if all(impl not in line for line in self.const_lines):
+            if e.name not in self.intrinsics:
+                self.intrinsics.add(e.name)
                 self.const_lines.append(
                     f"{impl} = INTRINSIC_IMPLS[{e.name!r}]"
                 )
@@ -662,7 +658,7 @@ class _Codegen:
                 f"np.asarray({impl}({arglist}))"
                 f".astype({self.dt(out.np)}, copy=False)"
             )
-            return _Val(t, np.dtype(out.np), _tri_all(*[v.tri for v in vals]))
+            return Val(t, np.dtype(out.np), tri_all(*[v.tri for v in vals]))
         if isinstance(e, Select):
             cv = self.truthy(self.ex(e.cond, m, n))
             mt = self.refine(m, cv.code)
@@ -674,10 +670,10 @@ class _Codegen:
             ta = self.cast(tv, dt)
             fa = self.cast(fv, dt)
             t = self.bind(f"np.where({cv.code}, {ta.code}, {fa.code})")
-            return _Val(t, dt, _tri_all(cv.tri, tv.tri, fv.tri))
+            return Val(t, dt, tri_all(cv.tri, tv.tri, fv.tri))
         raise self.fail(f"cannot evaluate {type(e).__name__}")
 
-    def ex_binop(self, e: BinOp, m: _Mask, n: str) -> _Val:
+    def ex_binop(self, e: BinOp, m: Mask, n: str) -> Val:
         op = e.op
         if op in ("&&", "||"):
             lv = self.truthy(self.ex(e.lhs, m, n))
@@ -691,7 +687,7 @@ class _Codegen:
                 m2 = self.refine(m, f"~{lt}")
                 rv = self.truthy(self.ex(e.rhs, m2, n))
                 t = self.bind(f"{lt} | {rv.code}")
-            return _Val(t, _BOOL, _tri_all(lv.tri, rv.tri))
+            return Val(t, _BOOL, tri_all(lv.tri, rv.tri))
         lv = self.ex(e.lhs, m, n)
         rv = self.ex(e.rhs, m, n)
         if op in _CMP_OPS:
@@ -700,10 +696,10 @@ class _Codegen:
             ra = self.cast(rv, ct.np)
             self.count("flops" if ct.is_float else "int_ops", n)
             t = self.bind(f"({la.code} {op} {ra.code})")
-            return _Val(t, _BOOL, _tri_all(lv.tri, rv.tri))
+            return Val(t, _BOOL, tri_all(lv.tri, rv.tri))
         rt = e.dtype
         rtnp = np.dtype(rt.np)
-        tri = _tri_all(lv.tri, rv.tri)
+        tri = tri_all(lv.tri, rv.tri)
         if op in ("<<", ">>"):
             la = self.cast(lv, rtnp)
             ra = self.cast(rv, _I64)
@@ -714,7 +710,7 @@ class _Codegen:
                 f"({la.code} {op} {ra.code})"
                 f".astype({self.dt(rtnp)}, copy=False)"
             )
-            return _Val(t, rtnp, tri)
+            return Val(t, rtnp, tri)
         la = self.cast(lv, rtnp)
         ra = self.cast(rv, rtnp)
         if rt.is_float:
@@ -723,11 +719,16 @@ class _Codegen:
             else:
                 self.count("flops", n)
             t = self.bind(f"({la.code} {op} {ra.code})")
-            return _Val(t, rtnp, tri)
+            return Val(t, rtnp, tri)
         self.count("int_ops", n)
         if op in ("+", "-", "*"):
-            t = self.bind(f"({la.code} {op} {ra.code})")
-            return _Val(t, rtnp, tri, _affine(op, la, ra))
+            fact, t = affine(op, la, ra), self.tmp()
+            line = f"{t} = ({la.code} {op} {ra.code})"
+            if self.lazy and fact and tri is not True:
+                return Val(t, rtnp, tri, fact, la.pending + ra.pending + (line,))
+            self.force(la, ra)
+            self.w(line)
+            return Val(t, rtnp, tri, fact)
         elif op == "/":
             # _c_int_div output dtype equals its (already-cast) operand
             # dtype, so the interpreter's trailing astype is an identity
@@ -736,360 +737,10 @@ class _Codegen:
             t = self.bind(f"_c_int_mod({la.code}, {ra.code})")
         else:
             raise self.fail(f"unknown binary operator {op!r}")
-        return _Val(t, rtnp, tri)
-
-    # -- memory ---------------------------------------------------------
-    def hoist(self, base: str, mask: str | None = None) -> _Loop | None:
-        """The outermost enclosing preheader at which ``base`` (and the
-        mask variable, if given) already hold the values they have at
-        the emission point — where their per-span facts are computed."""
-        name = base[2:] if base.startswith("v_") else None
-        best = None
-        for loop in reversed(self.loops):
-            if name in loop.kills or (mask is not None and loop.mask != mask):
-                break
-            if loop.slot is not None:
-                best = loop
-        return best
-
-    def hoisted(self, loop: _Loop, code: str) -> str:
-        """``code`` evaluated once in ``loop``'s preheader."""
-        name = loop.memo.get(code)
-        if name is None:
-            name = loop.memo[code] = self.tmp("h")
-            loop.slot.append(" " * (4 * loop.ind) + f"{name} = {code}")
-        return name
-
-    def span_of(self, loop: _Loop, src: str) -> tuple[str, str]:
-        """Hoisted Python-int min and max of the lane vector ``src``."""
-        return (
-            self.hoisted(loop, f"int({src}.min())"),
-            self.hoisted(loop, f"int({src}.max())"),
-        )
-
-    def interval(self, s: str, o: str, blo: str, bhi: str) -> tuple[str, str]:
-        """Exact ``[lo, hi]`` of ``s * b + o`` for ``b`` in
-        ``[blo, bhi]``: affine, so the extremes sit at the ends."""
-        if s == "1":
-            if o == "0":
-                return blo, bhi
-            return self.bind(f"{blo} + {o}", "lo"), self.bind(f"{bhi} + {o}", "hi")
-        lo = self.bind(f"{s} * {blo} + {o}", "lo")
-        hi = self.bind(f"{s} * {bhi} + {o}", "hi")
-        self.w(f"if {lo} > {hi}:")
-        with self.indent():
-            self.w(f"{lo}, {hi} = {hi}, {lo}")
-        return lo, hi
-
-    def prove(
-        self, iv: _Val, m: _Mask, extent: str, loop: _Loop,
-        slices: bool = False, active: bool = False,
-    ) -> _Proof:
-        """Emit the scalar interval proof for an index fact hosted by
-        ``loop`` (``hoist(iv.fact.base)``).
-
-        With ``active``, also bound the *active* lanes' indices; that
-        flag holds as well when only inactive lanes leave
-        ``[0, extent)`` (the tail span of a boundary-guarded kernel),
-        and takes a loop-invariant body mask so the active lanes' base
-        range can be hoisted too.  With ``slices``, also hoist the
-        unit-stride flag — only alongside ``act``, so the line meter
-        never has to look at a slice."""
-        f = iv.fact
-        blo, bhi = self.span_of(loop, f.base)
-        s = f.scale if _INT_LITERAL(f.scale) else self.bind(f.scale, "s")
-        o = f.offset if _INT_LITERAL(f.offset) else self.bind(f.offset, "o")
-        lo, hi = self.interval(s, o, blo, bhi)
-        info = np.iinfo(iv.np)
-        ok = self.bind(
-            f"0 <= {lo} and {hi} < {extent} and {hi} <= {info.max}", "ok"
-        )
-        act = None
-        if active and m.full:
-            act = (ok, lo, hi)
-        elif active:
-            aloop = self.hoist(f.base, m.var)
-            if aloop is not None:
-                sel = self.hoisted(aloop, f"{f.base}[{m.var}]")
-                alo, ahi = self.interval(s, o, *self.span_of(aloop, sel))
-                aok = self.bind(
-                    f"{ok} or ({info.min} <= {lo} and {hi} <= {info.max} "
-                    f"and 0 <= {alo} and {ahi} < {extent})",
-                    "ok",
-                )
-                act = (aok, alo, ahi)
-        unit = None
-        if slices and s == "1" and act:
-            # nl increasing ints whose ends are nl - 1 apart: consecutive
-            unit = self.hoisted(
-                loop,
-                f"{bhi} - {blo} == nl - 1 and "
-                f"bool(({f.base}[1:] > {f.base}[:-1]).all())",
-            )
-        return _Proof(ok, lo, hi, unit, act)
-
-    def widened(self, iv: _Val) -> str:
-        """Source of a lane-shaped index as int64 (not pooled: it is
-        emitted inside one arm of a run-time branch)."""
-        if iv.np == _I64:
-            return iv.code
-        return f"{iv.code}.astype({self.dt(_I64)}, copy=False)"
-
-    def safe_index(
-        self, iv: _Val, m: _Mask, arr: str, what: str, name: str | None,
-        slices: bool = False,
-    ) -> _Idx:
-        """Global-memory index sanitation.  Fast path: no lane (active
-        or not) out of bounds — the interpreter would return the index
-        unchanged (``_safe_indices`` is the identity on fully in-bounds
-        input).  Any OOB lane delegates to ``ctx._safe_indices`` for the
-        exact raise/clamp behaviour and message (statement masks are
-        nonempty, so a 0-d OOB index always trips the check).
-
-        An index fact turns the per-access vector check into a scalar
-        one (:meth:`prove`) with the vector ladder as its ``else``; with
-        ``slices``, the proved index of a unit-stride base is the
-        ``slice`` it enumerates.
-
-        Results pool per (index, buffer, mask): a repeated access
-        through the same index recomputes nothing.  ``what``/``name``
-        only color the error message, and a raise always comes from the
-        *first* occurrence (evaluation order is the interpreter's), so
-        they are deliberately not part of the key."""
-        # no fact, or no preheader to host it: the per-access code stands
-        loop = self.hoist(iv.fact.base) if iv.fact is not None else None
-        slices = slices and loop is not None
-        key = ("sidx", iv.code, arr, m.var, slices)
-        hit = self.cse.get(key)
-        if hit is not None:
-            return hit
-        extent = f"{arr}.shape[0]"
-        slow = f"ctx._safe_indices(%s, {m.var}, {arr}, {what!r}, {name!r})"
-        act = None
-        if loop is not None:
-            p = self.prove(iv, m, extent, loop, slices, active=True)
-            act = p.act
-            safe = self.tmp("ix")
-            wide = self.widened(iv)
-            self.w(f"if {p.ok}:")
-            with self.indent():
-                if p.unit:
-                    self.w(
-                        f"{safe} = slice({p.lo}, {p.hi} + 1) if {p.unit} "
-                        f"else {wide}"
-                    )
-                else:
-                    self.w(f"{safe} = {wide}")
-            if act and act[0] != p.ok:
-                # active lanes in bounds, some inactive lane not: the
-                # ladder's where-zero arm with both reductions proved
-                self.w(f"elif {act[0]}:")
-                with self.indent():
-                    self.w(f"{safe} = np.where({m.var}, {wide}, 0)")
-            self.w("else:")
-            with self.indent(), self.cse_scope():
-                self._index_ladder(iv, m, arr, slow, safe)
-        else:
-            safe = self._index_ladder(iv, m, arr, slow)
-        ix = _Idx(safe, iv.tri is True, act)
-        self.cse[key] = ix
-        return ix
-
-    def _index_ladder(
-        self, iv: _Val, m: _Mask, arr: str, slow: str,
-        safe: str | None = None,
-    ) -> str:
-        """The per-access vector check (two compares, ``|``, ``.any()``)
-        into ``safe``, a fresh name unless given.  A provably 0-d index
-        (integral by IR typing, so ``int()`` of it is exact) is decided
-        as a Python int, with no int64 cast."""
-        if iv.tri is True:
-            safe = safe or self.tmp("ix")
-            u = self.bind(f"int({iv.code})", "u")
-            self.w(
-                f"{safe} = {u} if 0 <= {u} < {arr}.shape[0] "
-                f"else {slow % iv.code}"
-            )
-            return safe
-        i1 = self.cast(iv, _I64)
-        safe = safe or self.tmp("ix")
-        slow = slow % i1.code
-        ob = self.tmp("ob")
-        self.w(f"if np.ndim({i1.code}):")
-        with self.indent():
-            self.w(f"{ob} = ({i1.code} < 0) | ({i1.code} >= {arr}.shape[0])")
-            self.w(f"if not {ob}.any():")
-            with self.indent():
-                self.w(f"{safe} = {i1.code}")
-            # OOB on inactive lanes only is the steady state of every
-            # boundary-guarded kernel; the interpreter where-zeros those
-            # lanes without raising, inlined here.  An *active* OOB lane
-            # delegates for the exact raise/clamp/sanitize behaviour.
-            self.w(f"elif not ({m.var} & {ob}).any():")
-            with self.indent():
-                self.w(
-                    f"{safe} = np.where({m.var} & ~{ob}, {i1.code}, 0)"
-                )
-            self.w("else:")
-            with self.indent():
-                self.w(f"{safe} = {slow}")
-        self.w("else:")
-        with self.indent():
-            self.w(
-                f"{safe} = {i1.code} if 0 <= int({i1.code}) < "
-                f"{arr}.shape[0] else {slow}"
-            )
-        return safe
-
-    def seg_index(self, kind: str, name: str, iv: _Val, m: _Mask) -> _Idx:
-        """Shared/local segment index via the inherited helper, pooled
-        per (index, array, mask) — the segment layout is fixed for the
-        span, so repeats are pure.  With an index fact proving every
-        lane inside ``[0, seg)`` the helper's clamp is the identity and
-        only its segment offset (hoisted) remains.
-
-        Pooling and hoisting both lean on :meth:`_prepass`: arrays are
-        declared at the top level of the kernel body, so the
-        declaration has run, once, before any preheader of a loop that
-        reaches the array."""
-        key = ("segidx", kind, iv.code, name, m.var)
-        hit = self.cse.get(key)
-        if hit is not None:
-            return hit
-        safe = self.tmp("ix")
-        call = f"{safe} = ctx._{kind}_index({name!r}, {iv.code}, {m.var})"
-        loop = self.hoist(iv.fact.base) if iv.fact is not None else None
-        if loop is None:
-            self.w(call)
-        else:
-            seg = self.hoisted(loop, f"ctx._{kind}_seg[{name!r}]")
-            off = self.hoisted(
-                loop,
-                f"ctx._lane_ids * {seg}" if kind == "local" else
-                f"None if ctx._block_lane_pos is None "
-                f"else ctx._block_lane_pos * {seg}",
-            )
-            ok = self.prove(iv, m, seg, loop).ok
-            wide = self.widened(iv)
-            self.w(f"if {ok}:")
-            with self.indent():
-                if kind == "local":
-                    self.w(f"{safe} = {wide} + {off}")
-                else:
-                    self.w(
-                        f"{safe} = {wide} if {off} is None "
-                        f"else {wide} + {off}"
-                    )
-            self.w("else:")
-            with self.indent():
-                self.w(call)
-        ix = _Idx(safe)
-        self.cse[key] = ix
-        return ix
-
-    def count_lines(self, ix: _Idx, m: _Mask, elem_size: int, n: str) -> None:
-        """Mirror ``BlockExecutor._count_lines``: 64-byte-line span
-        estimate over the *active* lanes.  Statement masks are nonempty
-        by construction so the ``_cur_n`` guard is vacuous.  The
-        *amount* is pooled per (index, mask, element size): repeated
-        traffic through the same addresses still adds to the counter
-        every time, but the min/max reductions run once — or not at
-        all, when an index fact already knows the active lanes' range."""
-        self.used_counters.add("global_line_bytes")
-        if ix.uniform:
-            self.w("_c_global_line_bytes += 64.0")
-            return
-        key = ("lineamt", ix.safe, m.var, elem_size, n)
-        amt = self.cse.get(key)
-        if amt is None:
-            amt = self.tmp("lb")
-            if ix.act is not None:
-                ok, lo, hi = ix.act
-                self.w(f"if {ok}:")
-                with self.indent():
-                    self._count_lines_span(
-                        amt, f"{lo} * {elem_size}", f"{hi} * {elem_size}", n
-                    )
-                self.w("else:")
-                with self.indent():
-                    self._count_lines_scan(amt, ix.safe, m, elem_size, n)
-            else:
-                self._count_lines_scan(amt, ix.safe, m, elem_size, n)
-            self.cse[key] = amt
-        self.w(f"_c_global_line_bytes += {amt}")
-
-    def _count_lines_scan(
-        self, amt: str, safe: str, m: _Mask, elem_size: int, n: str
-    ) -> None:
-        """The per-access form: gather the active lanes, reduce twice."""
-        la = self.tmp("la")
-        self.w(f"{la} = np.asarray({safe})")
-        self.w(f"if {la}.ndim == 0:")
-        with self.indent():
-            self.w(f"{amt} = 64.0")
-        self.w("else:")
-        with self.indent():
-            ls = self.tmp("ls")
-            self.w(
-                f"{ls} = {la} if {la}.shape == {m.var}.shape "
-                f"else np.broadcast_to({la}, {m.var}.shape)"
-            )
-            if not m.full:
-                self.w(f"{ls} = {ls}[{m.var}]")
-                self.w(f"if {ls}.size:")
-                with self.indent():
-                    self._count_lines_minmax(amt, ls, elem_size, n)
-                self.w("else:")
-                with self.indent():
-                    self.w(f"{amt} = 0.0")
-            else:
-                self._count_lines_minmax(amt, ls, elem_size, n)
-
-    def _count_lines_minmax(
-        self, amt: str, ls: str, elem_size: int, n: str
-    ) -> None:
-        lo = self.bind(f"int({ls}.min()) * {elem_size}", "lo")
-        hi = self.bind(f"int({ls}.max()) * {elem_size}", "hi")
-        self._count_lines_span(amt, lo, hi, n)
-
-    def _count_lines_span(self, amt: str, lo: str, hi: str, n: str) -> None:
-        self.w(f"{amt} = 64.0 * float(min({n}, ({hi} - {lo}) // 64 + 1))")
-
-    def mem_counts(
-        self, space: AddressSpace, elem_size: int, n: str, is_store: bool,
-        factor: float = 1.0,
-    ) -> None:
-        scale = f"{factor} * " if factor != 1.0 else ""
-        if space is AddressSpace.GLOBAL:
-            b = "global_store_bytes" if is_store else "global_load_bytes"
-            c = "global_stores" if is_store else "global_loads"
-            self.count(b, f"{scale}{n} * {float(elem_size)}")
-            self.count(c, n)
-        elif space is AddressSpace.SHARED:
-            self.count("shared_bytes", f"{scale}{n} * {float(elem_size)}")
-        else:
-            self.count("local_bytes", f"{scale}{n} * {float(elem_size)}")
-
-    def ex_load(self, e: Load, m: _Mask, n: str) -> _Val:
-        space, arr, elem, name = self.ptr(e.ptr)
-        iv = self.ex(e.index, m, n)
-        if space is AddressSpace.SHARED:
-            ix = self.seg_index("shared", name, iv, m)
-            tri = False if iv.tri is False else None
-        elif space is AddressSpace.LOCAL:
-            ix = self.seg_index("local", name, iv, m)
-            tri = False
-        else:
-            ix = self.safe_index(iv, m, arr, "load", name, self.views)
-            tri = iv.tri
-        self.mem_counts(space, elem.size, n, is_store=False)
-        if space is AddressSpace.GLOBAL:
-            self.count_lines(ix, m, elem.size, n)
-        t = self.bind(f"{arr}[{ix.safe}]")
-        return _Val(t, np.dtype(elem.np), tri)
+        return Val(t, rtnp, tri)
 
     # -- statements -----------------------------------------------------
-    def body(self, stmts: list[Stmt], m: _Mask) -> _Mask | None:
+    def body(self, stmts: list[Stmt], m: Mask) -> Mask | None:
         """Emit a statement list under mask ``m``; returns the fall-
         through mask, or ``None`` after an unconditional lane exit.
 
@@ -1114,12 +765,11 @@ class _Codegen:
                         self.w(f"{out} = {tail.var}")
                     else:
                         self.w(f"{out} = np.zeros(nl, dtype=bool)")
-                nv = self.emit_n(out)
-                return _Mask(out, nv, False)
+                return self.narrowed(out, m)
             m = m2
         return m
 
-    def stmt(self, s: Stmt, m: _Mask) -> _Mask | None:
+    def stmt(self, s: Stmt, m: Mask) -> Mask | None:
         if isinstance(s, Assign):
             return self.stmt_assign(s, m)
         if isinstance(s, Store):
@@ -1188,7 +838,7 @@ class _Codegen:
             return m
         raise self.fail(f"cannot execute {type(s).__name__}")
 
-    def stmt_assign(self, s: Assign, m: _Mask) -> _Mask:
+    def stmt_assign(self, s: Assign, m: Mask) -> Mask:
         val = self.ex(s.value, m, m.n)
         dt = self.var_types[s.name]
         vc = self.cast(val, dt.np)
@@ -1196,34 +846,33 @@ class _Codegen:
         definitely = s.name in self.assigned
         maybe = s.name in self.tri or definitely or not self._top_scope(s.name)
         old = f"v_{s.name}"
-        if m.full:
-            self.w(f"if {tv}.ndim and {tv}.base is not None:")
-            with self.indent():
-                self.w(f"{tv} = {tv}.copy()")
-            new_tri = vc.tri
+        copy = [
+            f"if {tv}.ndim and {tv}.base is not None:",
+            f"    {tv} = {tv}.copy()",
+        ]
+        if m.full or not maybe:
+            lines, new_tri = copy, vc.tri
         else:
-            if definitely:
-                self.w(f"if {m.n} < _nlf:")
-            elif maybe:
-                self.w(f"if {old} is not _UNDEF and {m.n} < _nlf:")
-            if definitely or maybe:
-                with self.indent():
-                    self.w(f"{tv} = np.where({m.var}, {tv}, {old})")
-                self.w(f"elif {tv}.ndim and {tv}.base is not None:")
-            else:
-                self.w(f"if {tv}.ndim and {tv}.base is not None:")
-            with self.indent():
-                self.w(f"{tv} = {tv}.copy()")
-            if definitely or maybe:
-                prev_tri = self.tri.get(s.name)
-                new_tri = (
-                    False if (vc.tri is False and prev_tri is False) else None
-                )
-            else:
-                new_tri = vc.tri
+            guard = "" if definitely else f"{old} is not _UNDEF and "
+            lines = [
+                f"if {guard}{m.n} < {self.nlf}:",
+                f"    {tv} = np.where({m.var}, {tv}, {old})",
+                "el" + copy[0],
+                copy[1],
+            ]
+            # lane-shaped in, lane-shaped out, merged or not
+            new_tri = False if vc.tri is False else None
+        pad = " " * (4 * self.ind)
+        slot = [pad + line for line in lines]
+        if lines is not copy and self.ledger.candidate(m, vc.tri):
+            self.ledger.plans.append(
+                MergePlan(s.name, m, slot, [pad + line for line in copy])
+            )
+        self.lines.append(slot)
         self.w(f"v_{s.name} = {tv}")
         self.assigned.add(s.name)
         self.tri[s.name] = new_tri
+        self.geom[s.name] = geom_of(vc.fact)
         self.cse_kill(s.name)
         return m
 
@@ -1233,7 +882,7 @@ class _Codegen:
         assignment emitted)."""
         return not self.loops and name not in self.tri
 
-    def stmt_store(self, s: Store, m: _Mask) -> _Mask:
+    def stmt_store(self, s: Store, m: Mask) -> Mask:
         space, arr, elem, name = self.ptr(s.ptr)
         iv = self.ex(s.index, m, m.n)
         vv = self.ex(s.value, m, m.n)
@@ -1270,7 +919,7 @@ class _Codegen:
                 self.w(f"{arr}[{safe}[{m.var}]] = {vb}[{m.var}]")
         return m
 
-    def stmt_atomic(self, s: Atomic, m: _Mask) -> _Mask:
+    def stmt_atomic(self, s: Atomic, m: Mask) -> Mask:
         space, arr, elem, name = self.ptr(s.ptr)
         iv = self.ex(s.index, m, m.n)
         with self.retained():
@@ -1356,15 +1005,15 @@ class _Codegen:
             merged[name] = ta if ta == tb else None
         self.tri = merged
 
-    def stmt_if(self, s: If, m: _Mask) -> _Mask:
+    def stmt_if(self, s: If, m: Mask) -> Mask:
         self.count("branches", m.n)
         cv = self.truthy(self.ex(s.cond, m, m.n))
         c = cv.code
         scalar_if = cv.tri is True and id(s) in self.facts.invariant_conds
-        shrink_t = _can_shrink(s.then_body)
-        shrink_e = _can_shrink(s.else_body)
-        kills_t = _loop_assigned(s.then_body)
-        kills_e = _loop_assigned(s.else_body)
+        shrink_t = can_shrink(s.then_body)
+        shrink_e = can_shrink(s.else_body)
+        kills_t = loop_assigned(s.then_body)
+        kills_e = loop_assigned(s.else_body)
         snap_a, snap_t = set(self.assigned), dict(self.tri)
         if scalar_if:
             out = self.tmp("mi") if (shrink_t or shrink_e) else None
@@ -1398,8 +1047,7 @@ class _Codegen:
             # that mention an arm-assigned variable are stale either way
             self.cse_kill(*kills_t, *kills_e)
             if out:
-                nv = self.emit_n(out)
-                return _Mask(out, nv, False)
+                return self.narrowed(out, m)
             return m
         # masked arms
         self.masked = True
@@ -1410,8 +1058,9 @@ class _Codegen:
         f_out_var = mf
         self.w(f"if {mt}.any():")
         with self.indent(), self.cse_scope():
-            nt = self.emit_n(mt)
-            t_res = self.body(s.then_body, _Mask(mt, nt, False))
+            t_res = self.body(s.then_body, self.narrowed(mt, m))
+            if not s.then_body:
+                self.w("pass")
             if shrink_t or shrink_e:
                 t_out_var = self.tmp("mo")
                 self.w(
@@ -1432,8 +1081,7 @@ class _Codegen:
         if s.else_body:
             self.w(f"if {mf}.any():")
             with self.indent(), self.cse_scope():
-                nf = self.emit_n(mf)
-                f_res = self.body(s.else_body, _Mask(mf, nf, False))
+                f_res = self.body(s.else_body, self.narrowed(mf, m))
                 if shrink_t or shrink_e:
                     f_out_var = self.tmp("mo")
                     self.w(
@@ -1451,10 +1099,9 @@ class _Codegen:
             # t_out | f_out == m when no lane can exit in either arm
             return m
         out = self.bind(f"{t_out_var} | {f_out_var}", "mo")
-        nv = self.emit_n(out)
-        return _Mask(out, nv, False)
+        return self.narrowed(out, m)
 
-    def stmt_for(self, s: For, m: _Mask) -> _Mask:
+    def stmt_for(self, s: For, m: Mask) -> Mask:
         with self.retained():
             sv = self.ex(s.start, m, m.n)
             pv = self.ex(s.stop, m, m.n)
@@ -1468,11 +1115,11 @@ class _Codegen:
         )
         ret_in = contains(s.body, Return)
         bk = None
-        if _has_break_at_level(s.body):
+        if has_break_at_level(s.body):
             bk = self.bind("np.zeros(nl, dtype=bool)", "bk")
-        carried = _loop_assigned(s.body)
-        self.loops.append(_Loop(bk, frozenset(carried | {s.var})))
-        tri3 = _tri_all(sv.tri, pv.tri, ev.tri)
+        carried = loop_assigned(s.body)
+        self.loops.append(LoopCtx(bk, frozenset(carried | {s.var})))
+        tri3 = tri_all(sv.tri, pv.tri, ev.tri)
         # bounds are evaluated on pre-loop values (above); everything the
         # body assigns is loop-carried and of unknown shape from here on
         for name in carried:
@@ -1517,13 +1164,12 @@ class _Codegen:
                 self.tri[name] = None
         if ret_in:
             out = self.bind(f"{m.var} & ~_ret", "mo")
-            nv = self.emit_n(out)
-            return _Mask(out, nv, False)
+            return self.narrowed(out, m)
         return m
 
     def _loop_body_mask(
-        self, m: _Mask, bk: str | None, ret_in: bool
-    ) -> _Mask:
+        self, m: Mask, bk: str | None, ret_in: bool
+    ) -> Mask:
         """Per-iteration active mask: entry minus broken minus returned.
         Elided entirely when no lane can leave mid-loop (the recomputed
         mask would equal the entry mask every iteration)."""
@@ -1538,11 +1184,10 @@ class _Codegen:
         self.w(f"if not {cur}.any():")
         with self.indent():
             self.w("break")
-        nv = self.emit_n(cur)
-        return _Mask(cur, nv, False)
+        return self.narrowed(cur, m)
 
     def _for_invariant(
-        self, s: For, m: _Mask, sc: str, pc: str, ec: str,
+        self, s: For, m: Mask, sc: str, pc: str, ec: str,
         bk: str | None, ret_in: bool,
     ) -> None:
         fs = self.bind(f"int({ec})", "fs")
@@ -1575,7 +1220,7 @@ class _Codegen:
             loop.slot = loop.mask = None
 
     def _for_variant(
-        self, s: For, m: _Mask, sc: str, pc: str, ec: str,
+        self, s: For, m: Mask, sc: str, pc: str, ec: str,
         bk: str | None, ret_in: bool, assigns: bool,
     ) -> None:
         self.masked = True
@@ -1612,32 +1257,38 @@ class _Codegen:
                         f"{s.var!r} has zero step with a nonzero trip "
                         "count for an active lane\")"
                     )
-            nv = self.emit_n(cur)
+            mb = self.narrowed(cur, m)
             self.w(f"v_{s.var} = {vv}")
             self.assigned.add(s.var)
             self.tri[s.var] = False
-            self.body(s.body, _Mask(cur, nv, False))
+            self.body(s.body, mb)
             self.w(
                 f"{vv} = (np.broadcast_to(np.asarray(v_{s.var})"
                 f".astype({T}, copy=False), (nl,)) + {sa})"
                 f".astype({T}, copy=False)"
             )
-            self.w(f"{it} += 1")
-            self.w(f"if {it} > {MAX_LOOP_ITERS}:")
-            with self.indent():
-                self.w(
-                    "raise InterpError(\"loop over "
-                    f"{s.var!r} exceeded {MAX_LOOP_ITERS} iterations\")"
-                )
+            self._tick(it, f"loop over {s.var!r}")
 
-    def stmt_while(self, s: While, m: _Mask) -> _Mask:
+    def _tick(self, it: str, what: str) -> None:
+        self.w(f"{it} += 1")
+        self.w(f"if {it} > {MAX_LOOP_ITERS}:")
+        with self.indent():
+            self.w(
+                f"raise InterpError(\"{what} exceeded "
+                f"{MAX_LOOP_ITERS} iterations\")"
+            )
+
+    def stmt_while(self, s: While, m: Mask) -> Mask:
         self.masked = True
         ret_in = contains(s.body, Return)
         bk = None
-        if _has_break_at_level(s.body):
+        if has_break_at_level(s.body):
             bk = self.bind("np.zeros(nl, dtype=bool)", "bk")
-        kills = _loop_assigned(s.body)
-        self.loops.append(_Loop(bk, frozenset(kills)))
+        kills = loop_assigned(s.body)
+        sparse = None
+        if bk is None and not ret_in:
+            sparse = sparse_plan(s, self.assigned, _LANE_SREGS)
+        self.loops.append(LoopCtx(bk, frozenset(kills)))
         snap_a, snap_t = set(self.assigned), dict(self.tri)
         # condition and body may read loop-carried values
         for name in kills:
@@ -1655,15 +1306,11 @@ class _Codegen:
                 self.w(f"if not {cur}.any():")
                 with self.indent():
                     self.w("break")
-                nv = self.emit_n(cur)
-                self.body(s.body, _Mask(cur, nv, False))
-                self.w(f"{it} += 1")
-                self.w(f"if {it} > {MAX_LOOP_ITERS}:")
-                with self.indent():
-                    self.w(
-                        "raise InterpError(\"while loop exceeded "
-                        f"{MAX_LOOP_ITERS} iterations\")"
-                    )
+                mb = self.narrowed(cur, mc)
+                if sparse is not None:
+                    self._while_sparse(s, sparse, mc, mb, it)
+                self.body(s.body, mb)
+                self._tick(it, "while loop")
         finally:
             self.loops.pop()
         self.assigned = set(snap_a)
@@ -1674,17 +1321,86 @@ class _Codegen:
                 self.tri[name] = None
         if ret_in:
             out = self.bind(f"{m.var} & ~_ret", "mo")
-            nv = self.emit_n(out)
-            return _Mask(out, nv, False)
+            return self.narrowed(out, m)
         return m
 
+    def _while_sparse(
+        self, s: While, plan, mc: Mask, mb: Mask, it: str
+    ) -> None:
+        """Finish a register-only loop on its active lanes.
+
+        Printed at the top of a dense iteration, after its mask ``mb``
+        is known: at low occupancy, gather every register the loop
+        touches at the active lanes, run the remaining iterations on
+        those (same condition and body, same ``n`` metering — the
+        condition still bills the entry count, the body the live
+        gathered lanes), then copy each written register and scatter
+        the gathered values back.  :func:`plan.sparse_plan` holds the
+        proof that retired lanes stay retired; the copy keeps a register
+        that aliases another (``a = b``) from writing through."""
+        self.features["sparse_loop"] += 1
+        self.w(f"if {mb.n} <= {self.nlf} * {SPARSE_OCCUPANCY}:")
+        state = set(self.assigned), dict(self.tri), dict(self.geom)
+        with self.indent(), self.cse_scope():
+            self.cse = {}  # nothing pooled at full width fits gathered lanes
+            sx = self.bind(f"np.flatnonzero({mb.var})", "sx")
+            saved: dict[str, str] = {}
+            names = {f"v_{r}": self.tri.get(r) for r in plan.reads + plan.writes}
+            for kind in plan.sregs:
+                var = self.used_sregs[kind] = f"sr_{_LANE_SREGS[kind]}"
+                names[var] = False
+            for name, tri in names.items():
+                saved[name] = self.bind(name, "f")
+                if tri is False:
+                    self.w(f"{name} = {name}[{sx}]")
+                elif tri is None:
+                    self.w(f"{name} = {name}[{sx}] if np.ndim({name}) else {name}")
+            depth = len(self.loops)
+            mk = Mask(self.tmp("mk"), self.tmp("n"), False, mb, depth)
+            self.w(f"{mk.n} = {mb.n}")
+            self.w(f"{mk.var} = np.ones({sx}.size, dtype=bool)")
+            outer, self.nlf = self.nlf, self.bind(mb.n, "kf")
+            self.w("while True:")
+            with self.indent():
+                self.body(s.body, mk)
+                self._tick(it, "while loop")
+                cv = self.truthy(self.ex(s.cond, mk, mc.n))
+                self.w(f"{mk.var} = {mk.var} & {cv.code}")
+                self.w(f"if not {mk.var}.any():")
+                with self.indent():
+                    self.w("break")
+                self.w(f"{mk.n} = float(np.count_nonzero({mk.var}))")
+            self.nlf = outer
+            written = {f"v_{r}" for r in plan.writes}
+            for name, full in saved.items():
+                if name in written:
+                    out = self.bind(f"np.array(np.broadcast_to({full}, (nl,)))")
+                    self.w(f"{out}[{sx}] = {name}")
+                    full = out
+                self.w(f"{name} = {full}")
+            self.w("break")
+        self.assigned, self.tri, self.geom = state
+
     # -- top level ------------------------------------------------------
-    def generate(self) -> tuple[str, bool]:
+    def generate(self) -> Generated:
         self._prepass()
-        m0 = _Mask("m0", "_nlf", True)
+        m0 = Mask("m0", "_nlf", True)
         self.body(self.k.body, m0)
-        if not self.lines:
-            self.w("pass")
+        self.features["direct_merge"] = self.ledger.resolve()
+        body: list[str] = []
+        for line in self.lines:
+            body.extend(line) if isinstance(line, list) else body.append(line)
+        # an active count nothing meters (a Return-only arm, the tail
+        # mask of the last statement) is dropped; it is never the only
+        # line of a suite
+        text = "\n".join(body)
+        dead = {
+            line for n, line in self.counts
+            if len(re.findall(rf"\b{n}\b", text)) == 1
+        }
+        body = [line for line in body if line not in dead] or [
+            " " * (4 * self.ind) + "pass"
+        ]
         header: list[str] = [
             f"# JIT specialization of kernel {self.k.name!r} "
             f"(codegen v{CODEGEN_VERSION})",
@@ -1701,6 +1417,8 @@ class _Codegen:
         ]
         if self.need_span:
             pre.append("_spanf = float(ctx._span_len)")
+        if self.need_tpb:
+            pre.append("_tpb = ctx.config.threads_per_block")
         for kind in sorted(self.used_sregs, key=lambda k: k.name):
             var = self.used_sregs[kind]
             table = (
@@ -1721,8 +1439,7 @@ class _Codegen:
         out = header + ["    " + p for p in pre]
         out.append("    try:")
         out.append("        with np.errstate(all=\"ignore\"):")
-        for line in self.lines:
-            out.extend(line) if isinstance(line, list) else out.append(line)
+        out.extend(body)
         out.append("    finally:")
         out.append("        if counters is not None:")
         flushed = False
@@ -1734,73 +1451,4 @@ class _Codegen:
                 flushed = True
         if not flushed:
             out.append("            pass")
-        mask_free = not self.masked
-        return "\n".join(out) + "\n", mask_free
-
-
-# ---------------------------------------------------------------------------
-# structural helpers
-# ---------------------------------------------------------------------------
-def _affine(op: str, a: _Val, b: _Val) -> _Fact | None:
-    """Index fact of ``a op b`` for ``+ - *`` on two ints of one dtype:
-    a fact on one side and a proved-0-d value on the other compose; two
-    lane-shaped sides (two bases) do not."""
-    if a.fact is not None and b.tri is True:
-        f, k = a.fact, f"int({b.code})"
-    elif b.fact is not None and a.tri is True and op != "-":
-        f, k = b.fact, f"int({a.code})"
-    elif b.fact is not None and a.tri is True:
-        f = b.fact  # k - f
-        scale = "-1" if f.scale == "1" else f"-({f.scale})"
-        return _Fact(f.base, scale, f"int({a.code}) - ({f.offset})")
-    else:
-        return None
-    if op == "*":
-        scale = k if f.scale == "1" else f"({f.scale}) * {k}"
-        offset = "0" if f.offset == "0" else f"({f.offset}) * {k}"
-        return _Fact(f.base, scale, offset)
-    if op == "-":
-        k = f"-{k}"
-    return replace(f, offset=k if f.offset == "0" else f"{f.offset} + {k}")
-
-
-def _can_shrink(body: list[Stmt]) -> bool:
-    """Whether executing ``body`` can retire lanes from the fall-through
-    mask: a Return anywhere (loops propagate it), or a Break/Continue
-    that is not captured by a loop inside the body itself."""
-    for s in body:
-        if isinstance(s, (Return, Break, Continue)):
-            return True
-        if isinstance(s, If):
-            if _can_shrink(s.then_body) or _can_shrink(s.else_body):
-                return True
-        elif isinstance(s, (For, While)):
-            if contains(s.body, Return):
-                return True
-    return False
-
-
-def _has_break_at_level(body: list[Stmt]) -> bool:
-    """A Break binding to *this* loop level (not captured by a nested
-    loop)."""
-    for s in body:
-        if isinstance(s, Break):
-            return True
-        if isinstance(s, If):
-            if _has_break_at_level(s.then_body) or _has_break_at_level(
-                s.else_body
-            ):
-                return True
-    return False
-
-
-def _loop_assigned(body: list[Stmt]) -> set[str]:
-    out: set[str] = set()
-    for st in iter_stmts(body):
-        if isinstance(st, Assign):
-            out.add(st.name)
-        elif isinstance(st, For):
-            out.add(st.var)
-        elif isinstance(st, Atomic) and st.result is not None:
-            out.add(st.result)
-    return out
+        return Generated("\n".join(out) + "\n", not self.masked, self.features)

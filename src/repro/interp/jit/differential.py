@@ -41,6 +41,8 @@ class DiffResult:
     name: str
     mismatches: list[str] = field(default_factory=list)
     mask_free: bool = False
+    #: the program's ``JITProgram.features`` (strategy -> sites)
+    features: dict[str, int] = field(default_factory=dict)
     compile_s: float = 0.0
     interp_s: float = 0.0
     jit_s: float = 0.0
@@ -112,7 +114,7 @@ def diff_grid(
     t0 = time.perf_counter()
     prog = get_program(kernel, config.block, bounds_check, cache=cache)
     res.compile_s = time.perf_counter() - t0
-    res.mask_free = prog.mask_free
+    res.mask_free, res.features = prog.mask_free, prog.features
 
     ci, cj = OpCounters(), OpCounters()
     args_i = _copy_args(arrays, scalars)
@@ -193,7 +195,7 @@ def diff_workload(
         spec.kernel, LaunchConfig.make(spec.grid, spec.block).block, True,
         cache=cache,
     )
-    res.mask_free = prog.mask_free
+    res.mask_free, res.features = prog.mask_free, prog.features
     return res
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.analysis.affine import CTAID_SYMBOLS, TID_SYMBOLS, Poly, eval_sym
 from repro.analysis.guards import guards_of_condition
+from repro.interp.jit.plan import loop_assigned
 from repro.ir.stmt import (
     Assign,
     Atomic,
@@ -38,7 +39,6 @@ from repro.ir.stmt import (
     Stmt,
     While,
 )
-from repro.ir.visitor import iter_stmts
 
 __all__ = ["DivergenceFacts", "analyze_divergence", "LANE_SYMBOLS"]
 
@@ -76,18 +76,6 @@ def _lane_invariant_cond(cond, env) -> bool:
     except Exception:  # pragma: no cover - classifier never raises today
         return False
     return bool(guards) and all(_lane_invariant_poly(g.poly) for g in guards)
-
-
-def _assigned_names(body: list[Stmt]) -> set[str]:
-    out: set[str] = set()
-    for st in iter_stmts(body):
-        if isinstance(st, Assign):
-            out.add(st.name)
-        elif isinstance(st, For):
-            out.add(st.var)
-        elif isinstance(st, Atomic) and st.result is not None:
-            out.add(st.result)
-    return out
 
 
 def analyze_divergence(kernel: Kernel) -> DivergenceFacts:
@@ -136,26 +124,26 @@ def analyze_divergence(kernel: Kernel) -> DivergenceFacts:
                     inv_loops.add(id(s))
                 else:
                     all_loops_invariant = False
-                for name in _assigned_names(s.body):
+                for name in loop_assigned(s.body):
                     env[name] = None
                 loop_seq += 1
                 env[s.var] = (
                     Poly.sym(f"loop#{loop_seq}:{s.var}") if bounds_inv else None
                 )
                 walk(s.body, env)
-                for name in _assigned_names(s.body):
+                for name in loop_assigned(s.body):
                     env[name] = None
             elif isinstance(s, While):
                 # the condition re-evaluates every iteration, so kill
                 # body-assigned names *before* classifying it
-                for name in _assigned_names(s.body):
+                for name in loop_assigned(s.body):
                     env[name] = None
                 if _lane_invariant_cond(s.cond, env):
                     inv_conds.add(id(s))
                 else:
                     all_branch_invariant = False
                 walk(s.body, env)
-                for name in _assigned_names(s.body):
+                for name in loop_assigned(s.body):
                     env[name] = None
 
     walk(kernel.body, {})

@@ -78,28 +78,20 @@ def get_program(
         compile_stats["cache_rejects"] += cache.rejected - before
         if entry is not None:
             prog = JITProgram(
-                key=key,
-                kernel_name=kernel.name,
-                source=entry["source"],
-                mask_free=entry["mask_free"],
-                from_cache=True,
+                key, kernel.name, entry["source"], entry["mask_free"],
+                entry["features"], from_cache=True,
             )
-            prog.fn = compile_closure(prog.source, kernel.name)
             compile_stats["cache_hits"] += 1
     if prog is None:
-        source, mask_free = generate_source(kernel)
-        prog = JITProgram(
-            key=key,
-            kernel_name=kernel.name,
-            source=source,
-            mask_free=mask_free,
-        )
-        prog.fn = compile_closure(source, kernel.name)
+        prog = JITProgram(key, kernel.name, *generate_source(kernel))
         compile_stats["compiles"] += 1
         if cache is not None:
-            cache.record(key, source, mask_free, kernel.name)
+            cache.record(
+                key, prog.source, prog.mask_free, kernel.name, prog.features
+            )
             if cache.path is not None:
                 cache.save()
+    prog.fn = compile_closure(prog.source, kernel.name)
     _memo[key] = prog
     return prog
 

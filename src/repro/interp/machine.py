@@ -33,6 +33,7 @@ these counts into simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,6 +189,97 @@ def apply_atomic_op(
         raise InterpError(f"unsupported atomic {op!r}")
 
 
+class LaneGeometry(NamedTuple):
+    """The lane layout of one span: every array read-only, shared by
+    every launch of the kernel that runs the same blocks."""
+
+    #: ``threadIdx`` / ``blockIdx`` per lane: the ``tpb``-long thread
+    #: template tiled ``span`` times, each block coordinate repeated
+    #: ``tpb`` times
+    lane_sregs: dict[SRegKind, np.ndarray]
+    #: the compact form of ``blockIdx``: one coordinate per block
+    block_sregs: dict[SRegKind, np.ndarray]
+    lane_ids: np.ndarray
+    #: block position of each lane within the span; ``None`` for span 1
+    block_lane_pos: np.ndarray | None
+
+
+class LaneMemo:
+    """Lane geometry by block-id vector, kept on the kernel object the
+    way compile products are: it is a pure function of the launch
+    configuration and the block ids, and a served kernel sees the same
+    few of each for its whole life.  The thread half depends on the span
+    length alone and is shared between spans.  Bounded by array bytes —
+    past the budget the memo starts over."""
+
+    BUDGET = 32 << 20
+
+    def __init__(self) -> None:
+        self._threads: dict[tuple, tuple] = {}
+        self._spans: dict[tuple, LaneGeometry] = {}
+        self._nbytes = 0
+
+    def _keep(self, *arrays: np.ndarray) -> None:
+        for a in arrays:
+            if a.flags.writeable:  # a shared vector is counted once
+                a.flags.writeable = False
+                self._nbytes += a.nbytes
+
+    def get(self, config: LaunchConfig, block_ids: np.ndarray) -> LaneGeometry:
+        key = (config, block_ids.tobytes())
+        geo = self._spans.get(key)
+        if geo is not None:
+            return geo
+        if self._nbytes > self.BUDGET:
+            self._threads.clear()
+            self._spans.clear()
+            self._nbytes = 0
+        span, tpb = block_ids.shape[0], config.threads_per_block
+        threads = self._threads.get((config.block, span))
+        if threads is None:
+            # a coordinate along an extent-1 axis is 0 on every lane:
+            # one shared vector stands for all of them (read-only)
+            zeros = np.zeros(span * tpb, dtype=np.int32)
+            tid = tuple(
+                np.tile(t, span) if extent > 1 else zeros
+                for t, extent in zip(config.thread_coords(), config.block)
+            )
+            lane_ids = np.arange(span * tpb, dtype=np.int64)
+            pos = (
+                np.repeat(np.arange(span, dtype=np.int64), tpb)
+                if span > 1 else None
+            )
+            self._keep(zeros, *tid, lane_ids, *(() if pos is None else (pos,)))
+            threads = self._threads[config.block, span] = (
+                zeros, tid, lane_ids, pos
+            )
+        zeros, tid, lane_ids, pos = threads
+        gx, gy, _gz = config.grid
+        bid = (
+            (block_ids % gx).astype(np.int32),
+            ((block_ids // gx) % gy).astype(np.int32),
+            (block_ids // (gx * gy)).astype(np.int32),
+        )
+        ctaid = tuple(
+            np.repeat(b, tpb) if extent > 1 else zeros
+            for b, extent in zip(bid, config.grid)
+        )
+        self._keep(*bid, *ctaid)
+        kinds = (SRegKind.CTAID_X, SRegKind.CTAID_Y, SRegKind.CTAID_Z)
+        geo = self._spans[key] = LaneGeometry(
+            lane_sregs={
+                SRegKind.TID_X: tid[0],
+                SRegKind.TID_Y: tid[1],
+                SRegKind.TID_Z: tid[2],
+                **dict(zip(kinds, ctaid)),
+            },
+            block_sregs=dict(zip(kinds, bid)),
+            lane_ids=lane_ids,
+            block_lane_pos=pos,
+        )
+        return geo
+
+
 @dataclass
 class _LoopFrame:
     """Per-loop bookkeeping for break masks."""
@@ -270,7 +362,10 @@ class BlockExecutor:
         self._scalars: dict[str, object] = {}
         self._bind_args(args)
 
-        self._tid_template = config.thread_coords()
+        memo = kernel.__dict__.get("_lane_memo")
+        if memo is None:
+            memo = kernel._lane_memo = LaneMemo()
+        self._lane_memo = memo
         self._static_sregs = {
             SRegKind.NTID_X: np.int32(config.block[0]),
             SRegKind.NTID_Y: np.int32(config.block[1]),
@@ -337,26 +432,14 @@ class BlockExecutor:
         tpb = self.config.threads_per_block
         self.nlanes = span * tpb
         self._span_len = span
-        self._block_lane_pos = (
-            np.repeat(np.arange(span, dtype=np.int64), tpb) if span > 1 else None
-        )
         self._shared_seg = {}
-        tx, ty, tz = self._tid_template
-        gx, gy, _gz = self.config.grid
-        bx = (block_ids % gx).astype(np.int32)
-        by = ((block_ids // gx) % self.config.grid[1]).astype(np.int32)
-        bz = (block_ids // (gx * self.config.grid[1])).astype(np.int32)
-        self._lane_ids = np.arange(self.nlanes, dtype=np.int64)
+        geo = self._lane_memo.get(self.config, block_ids)
+        self._block_lane_pos = geo.block_lane_pos
+        self._lane_ids = geo.lane_ids
+        self._lane_sregs = geo.lane_sregs
+        self._block_sregs = geo.block_sregs
         self._local: dict[str, np.ndarray] = {}
         self._local_seg: dict[str, int] = {}
-        self._lane_sregs = {
-            SRegKind.TID_X: np.tile(tx, span),
-            SRegKind.TID_Y: np.tile(ty, span),
-            SRegKind.TID_Z: np.tile(tz, span),
-            SRegKind.CTAID_X: np.repeat(bx, tpb),
-            SRegKind.CTAID_Y: np.repeat(by, tpb),
-            SRegKind.CTAID_Z: np.repeat(bz, tpb),
-        }
         self._env = {}
         self._var_types = {}
         self._shared = {}

@@ -56,7 +56,7 @@ def _guarded():
 
 
 def test_straight_line_kernel_proved_mask_free():
-    src, mask_free = generate_source(_straight())
+    src, mask_free, _ = generate_source(_straight())
     assert mask_free
     # the proof is structural: no statement-level divergence mask is ever
     # materialized, so the only mask in the module is the all-true m0
@@ -65,7 +65,7 @@ def test_straight_line_kernel_proved_mask_free():
 
 
 def test_guarded_kernel_not_mask_free():
-    _, mask_free = generate_source(_guarded())
+    mask_free = generate_source(_guarded()).mask_free
     assert not mask_free
 
 
@@ -77,7 +77,7 @@ __global__ void unrolled(float* x, float* y) {
     for (int k = 0; k < 4; k = k + 1) { acc = acc + x[i] * k; }
     y[i] = acc;
 }""")
-    _, mask_free = generate_source(kernel)
+    mask_free = generate_source(kernel).mask_free
     assert mask_free
 
 
